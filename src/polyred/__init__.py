@@ -46,7 +46,6 @@ from .jacobian import (
     PolyMatrix,
     certify_polynomial_inverse,
     classical_degree_cap,
-    det_poly,
     drop_degree_zero,
     extract_couplings,
     is_jlin,

@@ -38,11 +38,9 @@ from .jacobian import (
     PolyMatrix,
     certify_polynomial_inverse,
     classical_degree_cap,
-    det_poly,
     jacobian_matrix,
-    _det_cofactor,
 )
-from .poly import Polynomial, PolySystem
+from .poly import Polynomial, PolySystem, det
 
 
 class BlockNotInvertibleError(ValueError):
@@ -130,13 +128,14 @@ def _block_linear_decomposition(comps, nvars: int, start: int):
 
 def _adjugate(A: list[list[Polynomial]]) -> list[list[Polynomial]]:
     n = len(A)
+    nvars = A[0][0].nvars
     if n == 1:
-        return [[Polynomial.one(A[0][0].nvars)]]
+        return [[Polynomial.one(nvars)]]
     adj = [[None] * n for _ in range(n)]
     for i in range(n):
         for j in range(n):
             minor = [[A[r][c] for c in range(n) if c != i] for r in range(n) if r != j]
-            m = _det_cofactor(minor)
+            m = det(minor, Polynomial.zero(nvars))
             adj[i][j] = m if (i + j) % 2 == 0 else -m
     return adj
 
@@ -164,7 +163,7 @@ def invert_trailing_block(comps, nvars: int, start: int, cap: int | None = None)
             "(the block is singular for some parameter value)", detJR)
 
     b0, A, higher = _block_linear_decomposition(comps, nvars, start)
-    detA = _det_cofactor(A) if nb > 1 else A[0][0]
+    detA = det(A, Polynomial.zero(nvars))
     c = detA.constant_term()
     if not detA.is_constant() or c.is_zero():
         # cannot happen once the determinant gate passed; kept as a hard check
@@ -245,12 +244,16 @@ def build_H(sp: SplitSystem, rinv: PartialInverse) -> PolySystem:
     return PolySystem(comps, nvars=sp.N) if comps else PolySystem([], nvars=sp.N)
 
 
+def _at_zero_params(q: Polynomial, n1: int) -> Polynomial:
+    """Evaluate a (z1 | y2)-ring polynomial at y2 = 0, living on n1 variables."""
+    targets = [Polynomial.variable(i, n1) for i in range(n1)] + \
+              [Polynomial.zero(n1)] * (q.nvars - n1)
+    return q.compose(targets)
+
+
 def restrict_to_leading(system: PolySystem, n1: int) -> PolySystem:
     """Set the trailing variables to zero and drop them from the ring."""
-    targets = [Polynomial.variable(i, n1) for i in range(n1)] + \
-              [Polynomial.zero(n1)] * (system.nvars - n1)
-    comps = [p.compose(targets) for p in system.components]
-    return PolySystem(comps, nvars=n1) if comps else PolySystem([], nvars=n1)
+    return PolySystem([_at_zero_params(p, n1) for p in system.components], nvars=n1)
 
 
 def schur_identity_check(sp: SplitSystem, rinv: PartialInverse):
@@ -304,7 +307,7 @@ def is_jlin_partial(F: PolySystem, n1: int, cap: int | None = None) -> Membershi
     if n1 == 0:
         # The variety is a single exact point; evaluate the determinant there.
         point = [q.constant_term() for q in variety0]
-        val = det_poly(jacobian_matrix(F)).evaluate(point)
+        val = jacobian_matrix(F).det().evaluate(point)
         if val.is_zero():
             return MembershipVerdict(NON_MEMBER, witness=val,
                                      detail="Jacobian determinant vanishes at R^{-1}(0)")
@@ -320,13 +323,6 @@ def is_jlin_partial(F: PolySystem, n1: int, cap: int | None = None) -> Membershi
                                  detail=f"determinant on the elimination variety is {c}")
     return MembershipVerdict(NON_MEMBER, witness=restricted,
                              detail="determinant is non-constant on the elimination variety")
-
-
-def _at_zero_params(q: Polynomial, n1: int) -> Polynomial:
-    """Evaluate a (z1 | y2)-ring polynomial at y2 = 0, living on n1 variables."""
-    targets = [Polynomial.variable(i, n1) for i in range(n1)] + \
-              [Polynomial.zero(n1)] * (q.nvars - n1)
-    return q.compose(targets)
 
 
 def is_j_partial(F: PolySystem, n1: int, cap: int | None = None,

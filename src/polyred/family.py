@@ -30,8 +30,9 @@ from fractions import Fraction
 
 from .elimination import is_j_partial, is_jlin_partial
 from .gaussian import Gaussian, ZERO
-from .jacobian import MEMBER, NON_MEMBER, det_poly, is_jlin, jacobian_matrix
+from .jacobian import MEMBER, NON_MEMBER, is_jlin, jacobian_matrix
 from .poly import Polynomial, PolySystem
+from .samples import random_rational
 
 
 @dataclass(frozen=True)
@@ -103,7 +104,7 @@ def specialized_jacobian(inst: FamilyInstance) -> Polynomial:
     d, a2 = inst.d, inst.a2
     if any(not a2[k].is_zero() for k in range(d)):
         raise ValueError("needs a[2,k] = 0 for k < d so the block inverse is closed-form")
-    det = det_poly(jacobian_matrix(family_system(inst)))
+    det = jacobian_matrix(family_system(inst)).det()
     z = Polynomial.variable(0, 1)
     return det.compose([z, Polynomial.monomial((d,), a2[d])])
 
@@ -158,20 +159,10 @@ def reference_form_deviation(inst: FamilyInstance) -> dict:
 
 # -- corpus ---------------------------------------------------------------
 
-_POOL = [Fraction(0), Fraction(1), Fraction(-1), Fraction(1, 2),
-         Fraction(-1, 2), Fraction(2), Fraction(-2)]
-
-
-def _dense_rational(rng: random.Random) -> Fraction:
-    return Fraction(rng.randint(-9, 9), rng.randint(1, 9))
-
-
 def sample_instance(d: int, rng: random.Random) -> FamilyInstance:
     """One random instance; pool draws hit degenerate strata, dense draws generic ones."""
-    if rng.random() < 0.5:
-        draw = lambda: rng.choice(_POOL)
-    else:
-        draw = lambda: _dense_rational(rng)
+    dense = rng.random() >= 0.5
+    draw = lambda: random_rational(rng, dense)
     return FamilyInstance.of(
         d,
         [draw() for _ in range(d + 1)],

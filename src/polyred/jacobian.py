@@ -14,7 +14,7 @@ from typing import Sequence
 
 from .couplings import CouplingTensor
 from .gaussian import Gaussian, ONE, ZERO
-from .poly import Polynomial, PolySystem, exact_div
+from .poly import Polynomial, PolySystem, det
 from .series import formal_inverse_fixed_point
 
 MEMBER = "member"
@@ -74,60 +74,10 @@ class PolyMatrix:
         return PolyMatrix([[p.compose(targets) for p in row] for row in self.entries])
 
     def det(self) -> Polynomial:
-        """Exact determinant: cofactor expansion below 4x4, Bareiss from 4x4 up.
-
-        Both routes give the identical polynomial; Bareiss keeps intermediate
-        expression swell under control on larger matrices.
-        """
+        """Exact determinant by the division-free minor expansion :func:`polyred.poly.det`."""
         if not self.is_square():
             raise ValueError("determinant of a non-square matrix")
-        if self.nrows < 4:
-            return _det_cofactor(self.entries)
-        return _det_bareiss(self.entries, self.nvars)
-
-
-def _det_cofactor(rows: list[list[Polynomial]]) -> Polynomial:
-    n = len(rows)
-    if n == 1:
-        return rows[0][0]
-    if n == 2:
-        return rows[0][0] * rows[1][1] - rows[0][1] * rows[1][0]
-    acc = Polynomial.zero(rows[0][0].nvars)
-    sign = 1
-    for j in range(n):
-        if rows[0][j].is_zero():
-            sign = -sign
-            continue
-        minor = [[rows[i][m] for m in range(n) if m != j] for i in range(1, n)]
-        term = rows[0][j] * _det_cofactor(minor)
-        acc = acc + term if sign > 0 else acc - term
-        sign = -sign
-    return acc
-
-
-def _det_bareiss(rows: list[list[Polynomial]], nvars: int) -> Polynomial:
-    n = len(rows)
-    mat = [list(r) for r in rows]
-    prev_pivot = Polynomial.one(nvars)
-    sign = 1
-    for k in range(n - 1):
-        pivot_row = k
-        while mat[pivot_row][k].is_zero():
-            pivot_row += 1
-            if pivot_row == n:
-                return Polynomial.zero(nvars)
-        if pivot_row != k:
-            mat[pivot_row], mat[k] = mat[k], mat[pivot_row]
-            sign = -sign
-        pivot = mat[k][k]
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                num = pivot * mat[i][j] - mat[i][k] * mat[k][j]
-                mat[i][j] = exact_div(num, prev_pivot)
-            mat[i][k] = Polynomial.zero(nvars)
-        prev_pivot = pivot
-    out = mat[n - 1][n - 1]
-    return out if sign > 0 else -out
+        return det(self.entries, Polynomial.zero(self.nvars))
 
 
 def jacobian_matrix(F: PolySystem) -> PolyMatrix:
@@ -138,10 +88,6 @@ def jacobian_matrix(F: PolySystem) -> PolyMatrix:
     return PolyMatrix([[F.components[j].partial(i) for j in range(n)] for i in range(n)])
 
 
-def det_poly(M: PolyMatrix) -> Polynomial:
-    return M.det()
-
-
 def drop_degree_zero(F: PolySystem) -> PolySystem:
     """F - F(0); invertibility is unaffected by the constant part."""
     comps = [p - Polynomial.constant(p.constant_term(), p.nvars) for p in F.components]
@@ -150,7 +96,7 @@ def drop_degree_zero(F: PolySystem) -> PolySystem:
 
 def is_jlin(F: PolySystem) -> MembershipVerdict:
     """Constant nonzero Jacobian determinant test, decided exactly."""
-    det = det_poly(jacobian_matrix(F))
+    det = jacobian_matrix(F).det()
     if det.is_constant():
         c = det.constant_term()
         if c.is_zero():

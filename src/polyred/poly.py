@@ -237,21 +237,15 @@ class Polynomial:
         for s in subs:
             if s.nvars != nv:
                 raise ValueError("substitution polynomials live in different rings")
-        pow_cache: list[dict[int, Polynomial]] = [dict() for _ in subs]
+        # pow_cache[i][e - 1] = subs[i]**e, grown one factor at a time (no recursion,
+        # so exponents in the thousands are fine).
+        pow_cache: list[list[Polynomial]] = [[s] for s in subs]
 
         def power(i: int, e: int) -> Polynomial:
             cache = pow_cache[i]
-            got = cache.get(e)
-            if got is not None:
-                return got
-            if e == 0:
-                val = Polynomial.one(nv)
-            elif e == 1:
-                val = subs[i]
-            else:
-                val = power(i, e - 1) * subs[i]
-            cache[e] = val
-            return val
+            while len(cache) < e:
+                cache.append(cache[-1] * subs[i])
+            return cache[e - 1]
 
         out = Polynomial.zero(nv)
         for exps, c in self.terms.items():
@@ -362,11 +356,41 @@ class Polynomial:
         return f"<Polynomial {self.to_str()}>"
 
 
-def exact_div(num: Polynomial, den: Polynomial) -> Polynomial:
-    """Exact division in the polynomial ring; raises if ``den`` does not divide.
+def det(rows: Sequence[Sequence], zero):
+    """Determinant of a square matrix over a commutative ring, without division.
 
-    Used by fraction-free elimination, where divisibility is guaranteed.
+    Entries need ``+``, ``-``, ``*`` and ``is_zero()`` (``Polynomial``,
+    ``GradedPoly``); ``zero`` is returned when the determinant vanishes.  The
+    nonzero minors on the first k rows are kept by column bitmask ``cols`` and
+    each is extended along row k: column j enters with sign
+    (-1)^popcount(cols >> (j+1)), one flip per chosen column to its right.  At
+    most n * 2^(n-1) ring products; zero entries and vanishing minors are skipped.
     """
+    n = len(rows)
+    if n == 0 or any(len(r) != n for r in rows):
+        raise ValueError("determinant needs a non-empty square matrix")
+    minors = {1 << j: a for j, a in enumerate(rows[0]) if not a.is_zero()}
+    for row in rows[1:]:
+        entries = [(j, a) for j, a in enumerate(row) if not a.is_zero()]
+        grown: dict = {}
+        for cols, m in minors.items():
+            for j, a in entries:
+                if cols >> j & 1:
+                    continue
+                term = m * a
+                key = cols | 1 << j
+                negative = (cols >> (j + 1)).bit_count() & 1
+                acc = grown.get(key)
+                if acc is None:
+                    grown[key] = -term if negative else term
+                else:
+                    grown[key] = acc - term if negative else acc + term
+        minors = {cols: m for cols, m in grown.items() if not m.is_zero()}
+    return minors.get((1 << n) - 1, zero)
+
+
+def exact_div(num: Polynomial, den: Polynomial) -> Polynomial:
+    """Exact division in the polynomial ring; raises if ``den`` does not divide."""
     num._check_same_ring(den)
     if den.is_zero():
         raise ZeroDivisionError("polynomial division by zero")

@@ -39,6 +39,7 @@ from .jacobian import (
     jacobian_matrix,
 )
 from .elimination import (
+    _at_zero_params,
     build_H,
     invert_R,
     is_j_partial,
@@ -296,17 +297,11 @@ def transport_determinant_check(F: PolySystem, variant: str) -> dict:
     sp = split(rs.system, n)
     rinv = invert_R(sp)
     variety0 = [Polynomial.variable(i, n) for i in range(n)] + \
-               [_project_at_zero(q, n) for q in rinv.components]
+               [_at_zero_params(q, n) for q in rinv.components]
     det_img = jacobian_matrix(rs.system).substitute(variety0).det()
     det_src = jacobian_matrix(F).det()
     return {"equal": det_img == det_src, "constant_factor": "1",
             "variant": variant}
-
-
-def _project_at_zero(q: Polynomial, n1: int) -> Polynomial:
-    targets = [Polynomial.variable(i, n1) for i in range(n1)] + \
-              [Polynomial.zero(n1)] * (q.nvars - n1)
-    return q.compose(targets)
 
 
 def verify_theorem_main(F: PolySystem, variant: str,

@@ -26,7 +26,7 @@ from typing import Iterator, Sequence
 
 from .couplings import CouplingTensor, distinct_orderings
 from .gaussian import Gaussian
-from .poly import Polynomial
+from .poly import Polynomial, det
 
 
 class GradedPoly:
@@ -148,21 +148,14 @@ def compose_poly(p: Polynomial, args: Sequence[GradedPoly], order: int) -> Grade
     if p.nvars == 0:
         return GradedPoly.of_poly(Polynomial.constant(p.constant_term(), 0), order)
     nv = args[0].nvars
-    pow_cache: list[dict[int, GradedPoly]] = [dict() for _ in args]
+    # pow_cache[i][e - 1] = args[i]**e, grown one factor at a time (no recursion).
+    pow_cache: list[list[GradedPoly]] = [[a] for a in args]
 
     def power(i: int, e: int) -> GradedPoly:
         cache = pow_cache[i]
-        got = cache.get(e)
-        if got is not None:
-            return got
-        if e == 0:
-            val = GradedPoly.one(order, nv)
-        elif e == 1:
-            val = args[i]
-        else:
-            val = power(i, e - 1) * args[i]
-        cache[e] = val
-        return val
+        while len(cache) < e:
+            cache.append(cache[-1] * args[i])
+        return cache[e - 1]
 
     out = GradedPoly.zero(order, nv)
     for exps, c in p.terms.items():
@@ -443,20 +436,6 @@ def _trace(A: list[list[GradedPoly]]) -> GradedPoly:
     return acc
 
 
-def _det_graded(A: list[list[GradedPoly]]) -> GradedPoly:
-    n = len(A)
-    if n == 1:
-        return A[0][0]
-    acc = GradedPoly.zero(A[0][0].order, A[0][0].nvars)
-    sign = 1
-    for j in range(n):
-        minor = [[A[i][m] for m in range(n) if m != j] for i in range(1, n)]
-        term = A[0][j] * _det_graded(minor)
-        acc = acc + term if sign > 0 else acc - term
-        sign = -sign
-    return acc
-
-
 def log_partition_function(w: CouplingTensor, order: int,
                            G: GradedSeriesVector | None = None) -> GradedPoly:
     """ln Z(0, u) = sum_{r=1..order} (1/r) tr(M^r) with M = 1 - J_F(G(u)).
@@ -479,14 +458,14 @@ def log_partition_function(w: CouplingTensor, order: int,
 
 def det_jacobian_on_inverse(w: CouplingTensor, order: int,
                             G: GradedSeriesVector | None = None) -> GradedPoly:
-    """det J_F(G(u)) as a graded series (cofactor expansion of 1 - M)."""
+    """det J_F(G(u)) as a graded series (division-free minor expansion of 1 - M)."""
     if G is None:
         G = formal_inverse_fixed_point(w, order)
     M = _curvature_matrix(w, G)
     n = w.dims
     one = GradedPoly.one(order, G.nvars)
     J = [[(one - M[i][j]) if i == j else -M[i][j] for j in range(n)] for i in range(n)]
-    return _det_graded(J)
+    return det(J, GradedPoly.zero(order, G.nvars))
 
 
 def z_det_identity_check(w: CouplingTensor, order: int) -> tuple[bool, GradedPoly]:

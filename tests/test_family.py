@@ -16,7 +16,7 @@ from polyred.family import (
     specialized_jacobian,
 )
 from polyred.gaussian import Q
-from polyred.jacobian import MEMBER, NON_MEMBER, det_poly, is_jlin, jacobian_matrix
+from polyred.jacobian import MEMBER, NON_MEMBER, is_jlin, jacobian_matrix
 from polyred.elimination import is_jlin_partial, is_j_partial
 from polyred.poly import Polynomial, PolySystem
 
@@ -48,7 +48,7 @@ def test_general_determinant_expansion(rng):
             a1 = [Q(Fraction(rng.randint(-3, 3), rng.randint(1, 3))) for _ in range(d + 1)]
             a2 = [Q(Fraction(rng.randint(-3, 3), rng.randint(1, 3))) for _ in range(d + 1)]
             F = family_system(FamilyInstance(d, tuple(a1), tuple(a2)))
-            det = det_poly(jacobian_matrix(F))
+            det = jacobian_matrix(F).det()
             expected = P.one(2)
             for k in range(d):
                 c = a1[k + 1] * (k + 1) + a2[k] * (d - k)

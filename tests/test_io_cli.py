@@ -119,6 +119,14 @@ def test_cli_reduce_then_partial_agrees_with_jlin(member_file, nonmember_file,
                 json.loads(out_part)["verdict"])
 
 
+def test_cli_check_partial_deep_exponent(tmp_path, capsys):
+    # a power far beyond the interpreter's recursion limit must not crash composition
+    path = tmp_path / "deep.json"
+    write_system(str(path), PolySystem([z(0) - z(1) ** 1200, z(1)]))
+    code, out = run_cli(capsys, "check-partial", str(path), "--n1", "1")
+    assert code == 0 and json.loads(out)["verdict"] == "member"
+
+
 def test_cli_reduce_report_carries_provenance(member_file, capsys):
     code, out = run_cli(capsys, "reduce", member_file, "--variant", "qft")
     rep = json.loads(out)

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from polyred.gaussian import Q
+from polyred.gaussian import Gaussian, Q
 from polyred.jacobian import (
     MEMBER,
     NON_MEMBER,
@@ -12,14 +12,12 @@ from polyred.jacobian import (
     certify_polynomial_inverse,
     classical_degree_cap,
     const_matrix_inverse,
-    det_poly,
     drop_degree_zero,
     extract_couplings,
     is_jlin,
     jacobian_matrix,
-    _det_cofactor,
 )
-from polyred.poly import Polynomial, PolySystem
+from polyred.poly import Polynomial, PolySystem, det
 from polyred.samples import (
     curated_invertible_pairs,
     random_couplings,
@@ -47,7 +45,7 @@ def test_jacobian_index_convention():
     assert J[0, 1].is_zero()
     assert J[1, 0] == P.monomial((0, 1), -2)
     assert J[1, 1] == P.one(2)
-    assert det_poly(J) == P.one(2)
+    assert J.det() == P.one(2)
 
 
 def test_jacobian_requires_square():
@@ -79,9 +77,10 @@ def _permanent_style_det(rows):
     return acc
 
 
-def test_bareiss_matches_leibniz_and_cofactor(rng):
-    for size in (4, 5):
-        for _ in range(3):
+def test_det_matches_leibniz(rng):
+    # sizes 1-6, Gaussian coefficients; the first matrix of each size has a zero row
+    for size in range(1, 7):
+        for trial in range(3):
             rows = []
             for _i in range(size):
                 row = []
@@ -89,15 +88,16 @@ def test_bareiss_matches_leibniz_and_cofactor(rng):
                     terms = {}
                     for _t in range(2):
                         e = tuple(rng.randint(0, 1) for _ in range(3))
-                        c = rng.randint(-2, 2)
-                        if c:
-                            terms[e] = Q(c)
+                        c = Gaussian(rng.randint(-2, 2), rng.randint(-1, 1))
+                        if not c.is_zero():
+                            terms[e] = c
                     row.append(P(3, terms))
                 rows.append(row)
-            M = PolyMatrix(rows)
+            if trial == 0:
+                rows[rng.randrange(size)] = [P.zero(3)] * size
             expected = _permanent_style_det(rows)
-            assert M.det() == expected
-            assert _det_cofactor(rows) == expected
+            assert PolyMatrix(rows).det() == expected
+            assert det(rows, P.zero(3)) == expected
 
 
 def test_det_zero_column():
@@ -197,7 +197,7 @@ def test_normalized_determinant_constant_term_is_one(rng):
     for _ in range(10):
         w = random_couplings(rng, 2, 3)
         F = w.to_system()
-        det = det_poly(jacobian_matrix(F))
+        det = jacobian_matrix(F).det()
         assert det.constant_term() == Q(1)
 
 
@@ -205,7 +205,7 @@ def test_chain_rule(rng):
     for _ in range(10):
         F = random_zero_constant_system(rng, 2, 3)
         G = random_zero_constant_system(rng, 2, 3)
-        lhs = det_poly(jacobian_matrix(F.after(G)))
-        rhs = det_poly(jacobian_matrix(G)) * \
-            det_poly(jacobian_matrix(F)).compose(list(G.components))
+        lhs = jacobian_matrix(F.after(G)).det()
+        rhs = jacobian_matrix(G).det() * \
+            jacobian_matrix(F).det().compose(list(G.components))
         assert lhs == rhs
