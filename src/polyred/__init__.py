@@ -47,7 +47,6 @@ from .jacobian import (
     certify_polynomial_inverse,
     classical_degree_cap,
     drop_degree_zero,
-    extract_couplings,
     is_jlin,
     jacobian_matrix,
 )

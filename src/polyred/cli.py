@@ -57,6 +57,17 @@ def _default_order() -> int:
         return 5
 
 
+def _int_at_least(low: int):
+    """argparse type: an integer no smaller than ``low`` (else exit code 2)."""
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+    parse.__name__ = "int"
+    return parse
+
+
 def _witness_json(w):
     if w is None:
         return None
@@ -244,7 +255,7 @@ def _cmd_example_s4(args) -> tuple[dict, int]:
     report = corpus_report(args.d, args.count, args.seed)
     report = {"command": "example-s4", **report}
     if args.emit:
-        inst = sample_corpus(args.d, max(args.count, 1), args.seed)[0]
+        inst = sample_corpus(args.d, args.count, args.seed)[0]
         write_system(args.emit, family_system(inst), provenance={
             "family": {"d": inst.d,
                        "a1": [str(x) for x in inst.a1],
@@ -284,13 +295,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n1", type=int, required=True)
     p.add_argument("--lin", action="store_true",
                    help="determinant-based class instead of restricted-inverse class")
-    p.add_argument("--cap", type=int, default=None)
+    p.add_argument("--cap", type=_int_at_least(0), default=None)
     p.set_defaults(fn=_cmd_check_partial)
 
     p = sub.add_parser("eliminate", help="emit R, its block inverse and H")
     p.add_argument("system")
     p.add_argument("--n1", type=int, required=True)
-    p.add_argument("--cap", type=int, default=None)
+    p.add_argument("--cap", type=_int_at_least(0), default=None)
     p.set_defaults(fn=_cmd_eliminate)
 
     p = sub.add_parser("reduce", help="degree-lowering dimension-raising embedding")
@@ -314,7 +325,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("example-s4", help="two-variable family corpus run")
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--count", type=int, default=100)
+    p.add_argument("--count", type=_int_at_least(1), default=100)
     p.add_argument("--emit", help="also write the first corpus instance as a system file")
     p.set_defaults(fn=_cmd_example_s4)
 

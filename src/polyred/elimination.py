@@ -16,13 +16,14 @@ In inputs the trailing block means z2; in block inverses and in H the
 trailing block means y2.  Identities are checked as exact polynomial
 identities in (z1, y2), never pointwise.
 
-Deciding "R invertible for all z1" follows a three-step procedure: a
-non-constant det J_R (with respect to the block) is an immediate exact
-non-membership witness; an affine block with the gate passed has a closed
-form inverse; otherwise a degree-capped block-adic fixed point produces a
-candidate that is certified by exact two-sided composition.  A certification
-failure at a cap at least d2^(n2-1) (d2 the block degree) is conclusive,
-below the cap the outcome is reported undetermined, never guessed.
+Deciding "R invertible for all z1" takes two steps.  A non-constant det J_R
+(with respect to the block) is an immediate exact non-membership witness.
+Otherwise :func:`polyred.series.truncated_block_inverse` normalizes R by its
+block-linear part and runs the library's one fixed-point loop, cut at a
+block-degree cap, and the candidate is certified by exact two-sided
+composition (an affine block needs no rounds).  A certification failure at a
+cap at least d2^(n2-1) (d2 the block degree) is conclusive, below the cap the
+outcome is reported undetermined, never guessed.
 """
 
 from __future__ import annotations
@@ -40,7 +41,8 @@ from .jacobian import (
     classical_degree_cap,
     jacobian_matrix,
 )
-from .poly import Polynomial, PolySystem, det
+from .poly import Polynomial, PolySystem
+from .series import truncated_block_inverse
 
 
 class BlockNotInvertibleError(ValueError):
@@ -102,44 +104,6 @@ def split(S: PolySystem, n1: int) -> SplitSystem:
     return SplitSystem(S, n1)
 
 
-def _block_linear_decomposition(comps, nvars: int, start: int):
-    """Split each component into block-constant, block-linear and higher parts."""
-    nb = nvars - start
-    b0, higher = [], []
-    A = [[None] * nb for _ in range(len(comps))]
-    for j, p in enumerate(comps):
-        b0_terms, hi_terms = {}, {}
-        cols = [dict() for _ in range(nb)]
-        for exps, c in p.terms.items():
-            bd = sum(exps[start:])
-            if bd == 0:
-                b0_terms[exps] = c
-            elif bd == 1:
-                i = next(idx for idx in range(start, nvars) if exps[idx])
-                cols[i - start][exps[:start] + (0,) * nb] = c
-            else:
-                hi_terms[exps] = c
-        b0.append(Polynomial(nvars, b0_terms))
-        higher.append(Polynomial(nvars, hi_terms))
-        for i in range(nb):
-            A[j][i] = Polynomial(nvars, cols[i])
-    return b0, A, higher
-
-
-def _adjugate(A: list[list[Polynomial]]) -> list[list[Polynomial]]:
-    n = len(A)
-    nvars = A[0][0].nvars
-    if n == 1:
-        return [[Polynomial.one(nvars)]]
-    adj = [[None] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            minor = [[A[r][c] for c in range(n) if c != i] for r in range(n) if r != j]
-            m = det(minor, Polynomial.zero(nvars))
-            adj[i][j] = m if (i + j) % 2 == 0 else -m
-    return adj
-
-
 def invert_trailing_block(comps, nvars: int, start: int, cap: int | None = None) -> PartialInverse:
     """Invert a system of nvars-start polynomials in the trailing variables.
 
@@ -162,44 +126,12 @@ def invert_trailing_block(comps, nvars: int, start: int, cap: int | None = None)
             "block Jacobian determinant is not a nonzero constant "
             "(the block is singular for some parameter value)", detJR)
 
-    b0, A, higher = _block_linear_decomposition(comps, nvars, start)
-    detA = det(A, Polynomial.zero(nvars))
-    c = detA.constant_term()
-    if not detA.is_constant() or c.is_zero():
-        # cannot happen once the determinant gate passed; kept as a hard check
-        raise BlockNotInvertibleError("block linear part is singular", detA)
-    adj = _adjugate(A)
-    cinv = c.inverse()
-    Ainv = [[adj[i][j].scale(cinv) for j in range(nb)] for i in range(nb)]
-
-    y = [Polynomial.variable(start + i, nvars) for i in range(nb)]
-    params_id = [Polynomial.variable(i, nvars) for i in range(start)]
-
-    def a_inv_applied(targets):
-        return [sum((Ainv[i][m] * targets[m] for m in range(nb)),
-                    Polynomial.zero(nvars)) for i in range(nb)]
-
-    is_affine = all(h.is_zero() for h in higher)
     block_deg = max(p.block_degree(start, nvars) for p in comps)
     bound = classical_degree_cap(block_deg, nb)
     used_cap = bound if cap is None else cap
-
-    if is_affine:
-        rinv = a_inv_applied([y[i] - b0[i] for i in range(nb)])
-    else:
-        # Normalize: Rhat = Ainv . (R - b0) = z_block - W with W of block order >= 2.
-        rhat = a_inv_applied([comps[i] - b0[i] for i in range(nb)])
-        W = [y[j] - rhat[j] for j in range(nb)]
-        for wj in W:
-            if any(sum(e[start:]) <= 1 for e in wj.terms):
-                raise ArithmeticError("block normalization failed")
-        Q = list(y)
-        for _ in range(used_cap):
-            targets = params_id + Q
-            Q = [(y[j] + W[j].compose(targets)).truncate_block(start, nvars, used_cap)
-                 for j in range(nb)]
-        rinv = [q.compose(params_id + a_inv_applied([y[i] - b0[i] for i in range(nb)]))
-                for q in Q]
+    _, rinv = truncated_block_inverse(comps, nvars, start, used_cap)
+    y = [Polynomial.variable(start + i, nvars) for i in range(nb)]
+    params_id = [Polynomial.variable(i, nvars) for i in range(start)]
 
     # Exact two-sided certification, identically in (parameters, y).
     forward = [p.compose(params_id + rinv) for p in comps]

@@ -23,6 +23,11 @@ class SchemaError(ValueError):
     """Input file violates the schema; the message names the offending field."""
 
 
+def _is_count(x) -> bool:
+    """A non-negative JSON integer; ``type`` rather than ``isinstance``, so booleans fail."""
+    return type(x) is int and x >= 0
+
+
 def _fraction_from_string(s, path: str) -> Fraction:
     if not isinstance(s, str):
         raise SchemaError(f"{path}: expected a rational string, got {type(s).__name__}")
@@ -45,7 +50,7 @@ def polynomial_to_dict(p: Polynomial) -> dict:
 def polynomial_from_dict(obj, path: str = "polynomial") -> Polynomial:
     if not isinstance(obj, dict):
         raise SchemaError(f"{path}: expected an object")
-    if not isinstance(obj.get("nvars"), int) or obj["nvars"] < 0:
+    if not _is_count(obj.get("nvars")):
         raise SchemaError(f"{path}.nvars: expected a non-negative integer")
     nvars = obj["nvars"]
     terms_obj = obj.get("terms")
@@ -58,7 +63,7 @@ def polynomial_from_dict(obj, path: str = "polynomial") -> Polynomial:
             raise SchemaError(f"{tpath}: expected an object")
         exp = t.get("exp")
         if (not isinstance(exp, list) or len(exp) != nvars
-                or any(not isinstance(e, int) or e < 0 for e in exp)):
+                or not all(_is_count(e) for e in exp)):
             raise SchemaError(
                 f"{tpath}.exp: expected {nvars} non-negative integers")
         c = Gaussian(_fraction_from_string(t.get("re", "0"), f"{tpath}.re"),
@@ -85,10 +90,10 @@ def system_to_dict(F: PolySystem, provenance: dict | None = None) -> dict:
 def system_from_dict(obj) -> tuple[PolySystem, dict | None]:
     if not isinstance(obj, dict):
         raise SchemaError("top level: expected an object")
-    if obj.get("version") != SCHEMA_VERSION:
+    if not _is_count(obj.get("version")) or obj["version"] != SCHEMA_VERSION:
         raise SchemaError(f"version: expected {SCHEMA_VERSION}, got {obj.get('version')!r}")
     nvars = obj.get("nvars")
-    if not isinstance(nvars, int) or nvars < 0:
+    if not _is_count(nvars):
         raise SchemaError("nvars: expected a non-negative integer")
     comps_obj = obj.get("components")
     if not isinstance(comps_obj, list):
@@ -100,7 +105,7 @@ def system_from_dict(obj) -> tuple[PolySystem, dict | None]:
             raise SchemaError(f"components[{i}].nvars: {p.nvars} != system nvars {nvars}")
         comps.append(p)
     bound = obj.get("degree_bound")
-    if bound is not None and (not isinstance(bound, int) or bound < 0):
+    if bound is not None and not _is_count(bound):
         raise SchemaError("degree_bound: expected a non-negative integer")
     try:
         F = PolySystem(comps, nvars=nvars, degree_bound=bound)

@@ -12,10 +12,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .couplings import CouplingTensor
-from .gaussian import Gaussian, ONE, ZERO
 from .poly import Polynomial, PolySystem, det
-from .series import formal_inverse_fixed_point
+# formal_inverse_fixed_point is unused here but stays bound: perfbench's tracer
+# self-test checks that the tracer patches it in this module.
+from .series import LinearPartError, formal_inverse_fixed_point, truncated_block_inverse  # noqa: F401
 
 MEMBER = "member"
 NON_MEMBER = "non_member"
@@ -35,10 +35,6 @@ class MembershipVerdict:
 
     def __str__(self):
         return f"{self.verdict}: {self.detail}" if self.detail else self.verdict
-
-
-class LinearPartError(ValueError):
-    """The linear part of the system is not invertible."""
 
 
 class PolyMatrix:
@@ -110,47 +106,6 @@ def is_jlin(F: PolySystem) -> MembershipVerdict:
                              detail=f"non-constant Jacobian determinant, e.g. term {term}")
 
 
-def extract_couplings(F: PolySystem) -> CouplingTensor:
-    """Couplings of a normalized system; reconstruction is the exact inverse."""
-    return CouplingTensor.from_system(F)
-
-
-def linear_part_matrix(F: PolySystem) -> list[list[Gaussian]]:
-    """Constant matrix L with L[j][i] = coefficient of z_i in component j."""
-    n = F.nvars
-    out = []
-    for p in F.components:
-        lin = p.homogeneous_part(1)
-        row = [ZERO] * n
-        for exps, c in lin.terms.items():
-            row[exps.index(1)] = c
-        out.append(row)
-    return out
-
-
-def const_matrix_inverse(A: list[list[Gaussian]]) -> list[list[Gaussian]] | None:
-    """Exact inverse of a constant square matrix, or None when singular."""
-    n = len(A)
-    aug = [[A[i][j] for j in range(n)] + [ONE if k == i else ZERO for k in range(n)]
-           for i, _ in enumerate(A)]
-    for col in range(n):
-        pivot = None
-        for r in range(col, n):
-            if not aug[r][col].is_zero():
-                pivot = r
-                break
-        if pivot is None:
-            return None
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        inv = aug[col][col].inverse()
-        aug[col] = [x * inv for x in aug[col]]
-        for r in range(n):
-            if r != col and not aug[r][col].is_zero():
-                f = aug[r][col]
-                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
-    return [row[n:] for row in aug]
-
-
 def classical_degree_cap(degree: int, dim: int) -> int:
     """d^(n-1): the standard degree bound for polynomial inverses.
 
@@ -161,12 +116,15 @@ def classical_degree_cap(degree: int, dim: int) -> int:
 
 
 def certify_polynomial_inverse(F: PolySystem, degree_cap: int | None = None) -> MembershipVerdict:
-    """Decide polynomial invertibility by truncated series plus exact composition.
+    """Decide polynomial invertibility by a truncated inverse plus exact composition.
 
-    The truncated formal inverse is summed into a candidate of degree at most
-    the cap and certified by composing both ways, exactly.  Failure at a cap
-    at least d^(n-1) is conclusive non-membership (no polynomial inverse can
-    exceed that degree); failure below the cap stays undetermined.
+    :func:`polyred.series.truncated_block_inverse`, with no parameters,
+    normalizes F by its constant and linear parts and gives the formal
+    inverse truncated at degree cap as the candidate, which is certified by
+    composing both ways, exactly.  Failure at a cap at least d^(n-1) is
+    conclusive non-membership (no polynomial inverse can exceed that degree);
+    failure below the cap stays undetermined.  Raises :class:`LinearPartError`
+    when the linear part is singular.
     """
     if not F.is_square():
         raise ValueError("invertibility certification needs a square system")
@@ -174,27 +132,10 @@ def certify_polynomial_inverse(F: PolySystem, degree_cap: int | None = None) -> 
     if n == 0:
         return MembershipVerdict(MEMBER, witness=PolySystem([], nvars=0),
                                  detail="empty system is trivially invertible")
-    c0 = F.constant_part()
-    F0 = drop_degree_zero(F)
-    L = linear_part_matrix(F0)
-    Linv = const_matrix_inverse(L)
-    if Linv is None:
-        raise LinearPartError("linear part of the system is singular")
-    # Normalize to identity linear part: Fhat = Linv . F0.
-    Fhat = PolySystem(
-        [_row_combination(Linv[j], F0.components) for j in range(n)],
-        nvars=n,
-    )
-    w = CouplingTensor.from_system(Fhat)
     bound = classical_degree_cap(F.degree(), n)
     cap = bound if degree_cap is None else degree_cap
-    order = max(cap - 1, 0)
-    G = formal_inverse_fixed_point(w, order)
-    candidate_hat = [sum(comp.parts, Polynomial.zero(n)) for comp in G.components]
-    # Undo the normalization: P(y) = candidate_hat(Linv (y - c0)).
-    shifted = [Polynomial.variable(i, n) - c0[i] for i in range(n)]
-    lin_applied = [_row_combination(Linv[j], shifted) for j in range(n)]
-    P = PolySystem([p.compose(lin_applied) for p in candidate_hat], nvars=n)
+    Q, candidate = truncated_block_inverse(F.components, n, 0, cap)
+    P = PolySystem(candidate, nvars=n)
     ident = PolySystem.identity(n)
     note = (f"degree cap {cap}; classical bound d^(n-1) = {bound} "
             f"(imported background result, not derived here)")
@@ -202,18 +143,10 @@ def certify_polynomial_inverse(F: PolySystem, degree_cap: int | None = None) -> 
         return MembershipVerdict(MEMBER, witness=P,
                                  detail=f"exact two-sided polynomial inverse found; {note}")
     if cap >= bound:
-        high = next((r for r, parts in enumerate(zip(*(c.parts for c in G.components)))
-                     if r + 1 > bound and any(not p.is_zero() for p in parts)), None)
-        why = (f"formal inverse has a nonzero grade {high} (degree {high + 1} > bound)"
+        # grade r of the normalized formal inverse is its degree-(r + 1) part
+        high = min((sum(e) for q in Q for e in q.terms if sum(e) > bound), default=None)
+        why = (f"formal inverse has a nonzero grade {high - 1} (degree {high} > bound)"
                if high is not None else "truncated series fails exact composition")
         return MembershipVerdict(NON_MEMBER, witness=None, detail=f"{why}; {note}")
     return MembershipVerdict(UNDETERMINED, witness=None,
                              detail=f"cap below the certified bound; {note}")
-
-
-def _row_combination(row: Sequence[Gaussian], polys: Sequence[Polynomial]) -> Polynomial:
-    acc = Polynomial.zero(polys[0].nvars)
-    for c, p in zip(row, polys):
-        if not c.is_zero():
-            acc = acc + p.scale(c)
-    return acc

@@ -158,14 +158,19 @@ class Polynomial:
 
     __rmul__ = __mul__
 
-    def mul(self, other: "Polynomial", max_degree: int | None = None) -> "Polynomial":
-        """Exact product; with ``max_degree`` set, drops higher-degree terms."""
+    def mul(self, other: "Polynomial", max_degree: int | None = None,
+            start: int = 0) -> "Polynomial":
+        """Exact product; with ``max_degree`` set, drops the terms whose degree in
+        the variables from index ``start`` on exceeds it."""
         self._check_same_ring(other)
         out: dict[tuple, Gaussian] = {}
+        if max_degree is not None:
+            degree = {e2: sum(e2[start:]) for e2 in other.terms}
         for e1, c1 in self.terms.items():
-            d1 = total_degree(e1)
+            if max_degree is not None:
+                room = max_degree - sum(e1[start:])
             for e2, c2 in other.terms.items():
-                if max_degree is not None and d1 + total_degree(e2) > max_degree:
+                if max_degree is not None and degree[e2] > room:
                     continue
                 e = tuple(a + b for a, b in zip(e1, e2))
                 prod = c1 * c2
@@ -227,8 +232,14 @@ class Polynomial:
             raise ValueError("degree must be non-negative")
         return Polynomial(self.nvars, {e: v for e, v in self.terms.items() if total_degree(e) == c})
 
-    def compose(self, subs: Sequence["Polynomial"]) -> "Polynomial":
-        """Substitute ``subs[i]`` for variable i.  All subs share one ring."""
+    def compose(self, subs: Sequence["Polynomial"], max_degree: int | None = None,
+                start: int = 0) -> "Polynomial":
+        """Substitute ``subs[i]`` for variable i.  All subs share one ring.
+
+        With ``max_degree`` set, every product is cut as in :meth:`mul`, so the
+        result keeps exactly the terms of degree <= max_degree in the variables
+        from index ``start`` on.
+        """
         if len(subs) != self.nvars:
             raise ValueError(f"expected {self.nvars} substitutions, got {len(subs)}")
         if self.nvars == 0:
@@ -244,7 +255,7 @@ class Polynomial:
         def power(i: int, e: int) -> Polynomial:
             cache = pow_cache[i]
             while len(cache) < e:
-                cache.append(cache[-1] * subs[i])
+                cache.append(cache[-1].mul(subs[i], max_degree, start))
             return cache[e - 1]
 
         out = Polynomial.zero(nv)
@@ -252,7 +263,7 @@ class Polynomial:
             term = Polynomial.constant(c, nv)
             for i, e in enumerate(exps):
                 if e:
-                    term = term * power(i, e)
+                    term = term.mul(power(i, e), max_degree, start)
             out = out + term
         return out
 
@@ -310,12 +321,6 @@ class Polynomial:
                 new[perm[i]] = e
             out[tuple(new)] = c
         return Polynomial(self.nvars, out)
-
-    def truncate_block(self, start: int, end: int, cap: int) -> "Polynomial":
-        """Keep only terms whose degree in variables [start, end) is <= cap."""
-        return Polynomial(
-            self.nvars, {e: c for e, c in self.terms.items() if sum(e[start:end]) <= cap}
-        )
 
     # -- rendering -------------------------------------------------------------
 

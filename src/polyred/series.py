@@ -6,9 +6,10 @@ truncated at a fixed weight: one polynomial per grade.  The formal inverse G
 of a normalized system F(z) = z - sum W_k(z) is computed two independent
 ways:
 
-* :func:`formal_inverse_fixed_point` solves G = u + sum_k W_k(G) grade by
-  grade (each W_k application shifts grades up by k - 1, so the recursion is
-  well founded);
+* :func:`formal_inverse_fixed_point` solves G = u + sum_k W_k(G) with the
+  library's one inversion loop, :func:`truncated_fixed_point`, and reads
+  grade r off the inverse's homogeneous part of degree r + 1 (each W_k
+  application raises the degree, and the grade, by k - 1);
 * :func:`tree_oracle_inverse` sums amplitudes of rooted plane trees whose
   vertices have in-degrees in {2..d}.  With plane (ordered-children) trees
   and per-ordering tensor values, no symmetry factors appear; agreement with
@@ -16,6 +17,11 @@ ways:
 
 The scalar log-partition series ln Z = sum_{r>=1} (1/r) tr((1 - J_F(G))^r)
 and the identity Z * det J_F(G) = 1 are provided on the same grading.
+
+:func:`truncated_block_inverse` normalizes a block system by its
+block-linear part and runs the same loop; block inversion in
+:mod:`polyred.elimination` and invertibility certification in
+:mod:`polyred.jacobian` both go through it.
 """
 
 from __future__ import annotations
@@ -213,13 +219,114 @@ class GradedSeriesVector:
         return f"<GradedSeriesVector len {len(self.components)} order {self.order}>"
 
 
+class LinearPartError(ValueError):
+    """The linear part of the system is not invertible."""
+
+
+def _block_linear_decomposition(comps, nvars: int, start: int):
+    """Split each component into block-constant, block-linear and higher parts."""
+    nb = nvars - start
+    b0, higher = [], []
+    A = [[None] * nb for _ in range(len(comps))]
+    for j, p in enumerate(comps):
+        b0_terms, hi_terms = {}, {}
+        cols = [dict() for _ in range(nb)]
+        for exps, c in p.terms.items():
+            bd = sum(exps[start:])
+            if bd == 0:
+                b0_terms[exps] = c
+            elif bd == 1:
+                i = next(idx for idx in range(start, nvars) if exps[idx])
+                cols[i - start][exps[:start] + (0,) * nb] = c
+            else:
+                hi_terms[exps] = c
+        b0.append(Polynomial(nvars, b0_terms))
+        higher.append(Polynomial(nvars, hi_terms))
+        for i in range(nb):
+            A[j][i] = Polynomial(nvars, cols[i])
+    return b0, A, higher
+
+
+def _adjugate(A: list[list[Polynomial]]) -> list[list[Polynomial]]:
+    n = len(A)
+    nvars = A[0][0].nvars
+    if n == 1:
+        return [[Polynomial.one(nvars)]]
+    adj = [[None] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(n):
+            minor = [[A[r][c] for c in range(n) if c != i] for r in range(n) if r != j]
+            m = det(minor, Polynomial.zero(nvars))
+            adj[i][j] = m if (i + j) % 2 == 0 else -m
+    return adj
+
+
+def truncated_fixed_point(W: Sequence[Polynomial], nvars: int, start: int,
+                          cap: int) -> list[Polynomial]:
+    """Solve Q = y + W(params, Q) through degree ``cap`` in the block variables.
+
+    The block variables y are those from index ``start`` on, one per entry of
+    W; the leading ``start`` variables are parameters.  Every term of W has
+    block degree >= 2, so round t makes Q exact through block degree t + 1,
+    and every product of round t is cut there.  After cap - 1 rounds Q is the
+    inverse series of y - W truncated at block degree cap (Q = y for cap <= 1).
+    This is the library's one inversion loop.
+    """
+    y = [Polynomial.variable(start + j, nvars) for j in range(len(W))]
+    params = [Polynomial.variable(i, nvars) for i in range(start)]
+    Q = y
+    for t in range(1, cap):
+        targets = params + Q
+        Q = [yj + wj.compose(targets, t + 1, start) for yj, wj in zip(y, W)]
+    return Q
+
+
+def truncated_block_inverse(comps: Sequence[Polynomial], nvars: int, start: int,
+                            cap: int) -> tuple[list[Polynomial], list[Polynomial]]:
+    """Candidate inverse of a block system R, truncated at block degree ``cap``.
+
+    R has one component per variable from index ``start`` on; its
+    coefficients are polynomials in the leading ``start`` parameters.  With
+    R = b0 + A z + h (h of block degree >= 2), the block-linear matrix A must
+    have a nonzero constant determinant, so A^{-1} = adj(A) / det A is
+    polynomial.  Then A^{-1}(R - b0) = y - W with W = -A^{-1} h,
+    :func:`truncated_fixed_point` gives its truncated inverse Q, and the
+    candidate is Q(params, A^{-1}(y - b0)).  Returns (Q, candidate); nothing
+    here certifies the candidate.  Raises :class:`LinearPartError` when det A
+    is not a nonzero constant.
+    """
+    nb = nvars - start
+    b0, A, higher = _block_linear_decomposition(comps, nvars, start)
+    detA = det(A, Polynomial.zero(nvars))
+    if not detA.is_constant() or detA.constant_term().is_zero():
+        raise LinearPartError("linear part of the system is singular")
+    cinv = detA.constant_term().inverse()
+    Ainv = [[a.scale(cinv) for a in row] for row in _adjugate(A)]
+
+    def a_inv_applied(targets):
+        return [sum((Ainv[i][m] * targets[m] for m in range(nb)),
+                    Polynomial.zero(nvars)) for i in range(nb)]
+
+    y = [Polynomial.variable(start + i, nvars) for i in range(nb)]
+    params = [Polynomial.variable(i, nvars) for i in range(start)]
+    undo = params + a_inv_applied([yj - b for yj, b in zip(y, b0)])
+    if all(h.is_zero() for h in higher):  # affine: no rounds, the inverse is exact
+        return y, undo[start:]
+    Q = truncated_fixed_point([-wj for wj in a_inv_applied(higher)], nvars, start, cap)
+    return Q, [q.compose(undo) for q in Q]
+
+
 def formal_inverse_fixed_point(w: CouplingTensor, order: int,
                                source: Sequence[Polynomial] | None = None) -> GradedSeriesVector:
     """Unique graded solution of G = source + sum_k W_k(G), default source u.
 
-    Grade 0 equals the source; the solution satisfies F(G(u)) = u through the
-    truncation order.  A non-default source (for instance with some zero
-    coordinates) yields the inverse series with those source slots pinned.
+    Grade r of G is homogeneous of degree r + 1 in u, so G is read off the
+    inverse series Q of u - sum_k W_k(u), truncated at degree order + 1 by
+    :func:`truncated_fixed_point`: grade r is Q's degree-(r + 1) part
+    composed with the source.  Grade 0 equals the source; the solution
+    satisfies F(G(u)) = u through the truncation order.  A non-default source
+    (for instance with some zero coordinates) yields the inverse series with
+    those source slots pinned.
     """
     if order < 0:
         raise ValueError("order must be non-negative")
@@ -229,21 +336,13 @@ def formal_inverse_fixed_point(w: CouplingTensor, order: int,
     if len(source) != n:
         raise ValueError(f"source must have {n} coordinates")
     nv = source[0].nvars
-    src = GradedSeriesVector([GradedPoly.of_poly(p, order) for p in source])
-    coupling_polys = [
-        [(k, w.coupling_poly(i, k)) for k in w.degrees() if not w.coupling_poly(i, k).is_zero()]
-        for i in range(n)
-    ]
-    G = src
-    for _ in range(order):
-        new = []
-        for i in range(n):
-            acc = src.components[i]
-            for k, wp in coupling_polys[i]:
-                acc = acc + compose_poly(wp, G.components, order).shift(k - 1)
-            new.append(acc)
-        G = GradedSeriesVector(new)
-    return G
+    W = [sum((w.coupling_poly(i, k) for k in w.degrees()), Polynomial.zero(n))
+         for i in range(n)]
+    Q = truncated_fixed_point(W, n, 0, order + 1)
+    return GradedSeriesVector([
+        GradedPoly(order, nv, [q.homogeneous_part(r + 1).compose(source)
+                               for r in range(order + 1)])
+        for q in Q])
 
 
 def inversion_defect(w: CouplingTensor, G: GradedSeriesVector,

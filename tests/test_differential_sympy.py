@@ -1,7 +1,12 @@
-"""Differential tests of polyred's exact arithmetic against sympy over QQ_I."""
+"""Differential tests of polyred's exact arithmetic against sympy over QQ_I.
+
+The degree-cut product and substitution are what the inversion loop in
+:mod:`polyred.series` is built on; they are checked as the full sympy result
+with the terms of too high degree in the variables from ``start`` on dropped.
+"""
 
 from hypothesis import given, settings, strategies as st
-from sympy import I, Matrix, Poly, Rational, expand, symbols
+from sympy import I, Matrix, Poly, Rational, diff, expand, symbols, sympify
 
 from polyred.gaussian import Gaussian
 from polyred.poly import Polynomial, det
@@ -21,6 +26,13 @@ entries = st.one_of(
         st.tuples(*[st.integers(0, 2)] * NVARS), coefficients, min_size=1, max_size=3,
     ).map(lambda terms: Polynomial(NVARS, terms)),
 )
+
+
+polys = st.dictionaries(
+    st.tuples(*[st.integers(0, 3)] * NVARS), coefficients, max_size=5,
+).map(lambda terms: Polynomial(NVARS, terms))
+# degree cuts: (max_degree, start), or no cut
+cuts = st.one_of(st.just((None, 0)), st.tuples(st.integers(0, 6), st.integers(0, NVARS - 1)))
 
 
 @st.composite
@@ -49,3 +61,31 @@ def test_det_matches_sympy(rows):
     sym = Matrix([[to_sympy(p) for p in row] for row in rows])
     expected = over_qq_i(sym.det(method="berkowitz"))
     assert over_qq_i(to_sympy(det(rows, Polynomial.zero(NVARS)))) == expected
+
+
+def cut(poly: Poly, max_degree, start) -> Poly:
+    if max_degree is None:
+        return poly
+    kept = {m: c for m, c in poly.terms() if sum(m[start:]) <= max_degree}
+    return Poly.from_dict(kept, *GENS, domain="QQ_I")
+
+
+@given(polys, polys, cuts)
+def test_mul_matches_sympy(p, q, degree_cut):
+    max_degree, start = degree_cut
+    expected = cut(over_qq_i(to_sympy(p) * to_sympy(q)), max_degree, start)
+    assert over_qq_i(to_sympy(p.mul(q, max_degree, start))) == expected
+
+
+@settings(deadline=None)
+@given(polys, st.lists(entries, min_size=NVARS, max_size=NVARS), cuts)
+def test_compose_matches_sympy(p, subs, degree_cut):
+    max_degree, start = degree_cut
+    sym = sympify(to_sympy(p)).subs(dict(zip(GENS, map(to_sympy, subs))), simultaneous=True)
+    expected = cut(over_qq_i(sym), max_degree, start)
+    assert over_qq_i(to_sympy(p.compose(subs, max_degree, start))) == expected
+
+
+@given(polys, st.integers(0, NVARS - 1))
+def test_partial_matches_sympy(p, i):
+    assert over_qq_i(to_sympy(p.partial(i))) == over_qq_i(diff(to_sympy(p), GENS[i]))

@@ -9,6 +9,7 @@ from polyred.elimination import (
     build_H,
     invert_H_parametrized,
     invert_R,
+    invert_trailing_block,
     is_j_partial,
     is_jlin_partial,
     restrict_to_leading,
@@ -64,6 +65,8 @@ def test_invert_R_singular_witness():
     with pytest.raises(BlockNotInvertibleError) as exc:
         invert_R(split(S, 1))
     assert exc.value.witness == P.one(2) - P.monomial((2, 0), 1)
+    assert str(exc.value) == ("block Jacobian determinant is not a nonzero constant "
+                              "(the block is singular for some parameter value)")
 
 
 def test_invert_R_nonaffine_certified():
@@ -72,6 +75,21 @@ def test_invert_R_nonaffine_certified():
     rinv = invert_R(split(S, 1))
     assert rinv.certified
     assert list(rinv.components) == [v[1] + v[2] ** 2, v[2]]
+    assert (rinv.status, rinv.detail) == ("certified", "exact block inverse (cap 2)")
+
+
+def test_invert_trailing_block_cap_too_low():
+    # R = (z1 + z2^2, z2 + (z1 + z2^2)^2) has an inverse of degree 4 = d^(n-1)
+    x, y = z(0), z(1)
+    R = [x + y ** 2, y + (x + y ** 2) ** 2]
+    low = invert_trailing_block(R, 2, 0, 2)
+    assert (low.certified, low.status) == (False, "cap_too_low")
+    assert low.detail == "certification failed at cap 2 < bound 4; undetermined"
+    assert list(low.components) == [x - y ** 2, y - x ** 2]
+    full = invert_trailing_block(R, 2, 0)
+    assert full.certified and full.detail == "exact block inverse (cap 4)"
+    u = y - x ** 2
+    assert list(full.components) == [x - u ** 2, u]
 
 
 def test_invert_R_nonaffine_non_invertible():

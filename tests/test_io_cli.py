@@ -84,6 +84,24 @@ def test_schema_errors_name_the_field():
             {"nvars": 1, "terms": [{"exp": [2], "re": "1", "im": "0"}]}]})
 
 
+@pytest.mark.parametrize("field", ["version", "nvars", "degree_bound",
+                                   "component nvars", "exp"])
+def test_booleans_are_not_integers(field, tmp_path, capsys):
+    obj = system_to_dict(PolySystem.identity(1))
+    if field == "component nvars":
+        obj["components"][0]["nvars"] = True
+    elif field == "exp":
+        obj["components"][0]["terms"][0]["exp"] = [True]
+    else:
+        obj[field] = True
+    with pytest.raises(SchemaError, match=field.split()[-1]):
+        system_from_dict(obj)
+    path = tmp_path / "bool.json"
+    path.write_text(json.dumps(obj))
+    assert main(["check-jlin", str(path)]) == 2
+    assert capsys.readouterr().out == ""
+
+
 def run_cli(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr().out
@@ -206,6 +224,16 @@ def test_cli_usage_and_io_errors(capsys):
     assert main(["check-jlin", "/nonexistent/x.json"]) == 2
     assert main(["no-such-command"]) == 2
     assert main([]) == 2
+
+
+def test_cli_rejects_vacuous_counts_and_negative_caps(member_file, capsys):
+    assert main(["example-s4", "--d", "2", "--count", "0"]) == 2
+    assert main(["example-s4", "--d", "2", "--count", "-1"]) == 2
+    assert main(["check-partial", member_file, "--n1", "0", "--cap", "-1"]) == 2
+    assert main(["eliminate", member_file, "--n1", "0", "--cap", "-3"]) == 2
+    assert capsys.readouterr().out == ""
+    assert main(["check-partial", member_file, "--n1", "0", "--cap", "0"]) == 1
+    assert json.loads(capsys.readouterr().out)["verdict"] == "undetermined"
 
 
 def test_cli_pretty_format(ident_file, capsys):

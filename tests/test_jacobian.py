@@ -11,9 +11,7 @@ from polyred.jacobian import (
     PolyMatrix,
     certify_polynomial_inverse,
     classical_degree_cap,
-    const_matrix_inverse,
     drop_degree_zero,
-    extract_couplings,
     is_jlin,
     jacobian_matrix,
 )
@@ -125,23 +123,15 @@ def test_drop_degree_zero():
     assert drop_degree_zero(H) == H
 
 
-def test_extract_couplings_delegates():
-    zz = P.variable(0, 1)
-    w = extract_couplings(PolySystem([zz - zz * zz]))
-    assert w.entries == {(2, 0, (0, 0)): Q(1)}
-
-
-def test_const_matrix_inverse():
-    A = [[Q(2), Q(1)], [Q(1), Q(1)]]
-    Ainv = const_matrix_inverse(A)
-    assert Ainv == [[Q(1), Q(-1)], [Q(-1), Q(2)]]
-    assert const_matrix_inverse([[Q(1), Q(1)], [Q(1), Q(1)]]) is None
-
-
 def test_classical_degree_cap():
     assert classical_degree_cap(3, 1) == 1
     assert classical_degree_cap(3, 2) == 3
     assert classical_degree_cap(2, 3) == 4
+
+
+def _note(cap, bound):
+    return (f"degree cap {cap}; classical bound d^(n-1) = {bound} "
+            "(imported background result, not derived here)")
 
 
 def test_certify_triangular():
@@ -149,6 +139,24 @@ def test_certify_triangular():
     v = certify_polynomial_inverse(F, 2)
     assert v.verdict == MEMBER
     assert v.witness == PolySystem([z(0) + z(1) ** 2, z(1)])
+    assert v.detail == "exact two-sided polynomial inverse found; " + _note(2, 2)
+
+
+def test_certify_non_diagonal_complex_linear_part():
+    # F = L(S(z)) + c with S the shear (z1 + z2^2, z2) and L = [[1, i], [2, 1+i]],
+    # so F^{-1}(y) = S^{-1}(L^{-1}(y - c)) with L^{-1} = [[i, (1-i)/2], [-1-i, (1+i)/2]].
+    s1, s2 = z(0) + z(1) ** 2, z(1)
+    c = [Q(3), Q(0, -1)]
+    F = PolySystem([s1 + s2.scale(Q(0, 1)) + c[0],
+                    s1.scale(2) + s2.scale(Q(1, 1)) + c[1]])
+    y = [z(0) - c[0], z(1) - c[1]]
+    u1 = y[0].scale(Q(0, 1)) + y[1].scale(Q("1/2", "-1/2"))
+    u2 = y[0].scale(Q(-1, -1)) + y[1].scale(Q("1/2", "1/2"))
+    v = certify_polynomial_inverse(F)
+    assert v.verdict == MEMBER
+    assert v.witness == PolySystem([u1 - u2 ** 2, u2])
+    ident = PolySystem.identity(2)
+    assert F.after(v.witness) == ident and v.witness.after(F) == ident
 
 
 def test_certify_identity_any_cap():
@@ -162,7 +170,15 @@ def test_certify_catalan_never_terminates():
     F = PolySystem([zz - zz * zz])
     v = certify_polynomial_inverse(F, 10)
     assert v.verdict == NON_MEMBER
-    assert "bound" in v.detail
+    assert v.detail == ("formal inverse has a nonzero grade 1 (degree 2 > bound); "
+                        + _note(10, 1))
+
+
+def test_certify_nonmember_at_the_bound():
+    # at cap = bound the truncated inverse has no part above the bound
+    v = certify_polynomial_inverse(PolySystem([z(0) - z(0) ** 2, z(1)]))
+    assert v.verdict == NON_MEMBER
+    assert v.detail == "truncated series fails exact composition; " + _note(2, 2)
 
 
 def test_certify_undetermined_below_bound():
@@ -171,6 +187,7 @@ def test_certify_undetermined_below_bound():
     assert Fs
     v = certify_polynomial_inverse(Fs[0], 2)
     assert v.verdict == UNDETERMINED
+    assert v.detail == "cap below the certified bound; " + _note(2, 6)
 
 
 def test_certify_affine_and_shifted():
@@ -184,6 +201,8 @@ def test_certify_affine_and_shifted():
 def test_certify_singular_linear_part_raises():
     with pytest.raises(LinearPartError):
         certify_polynomial_inverse(PolySystem([z(0) ** 2, z(1)]))
+    with pytest.raises(LinearPartError):  # rank-one linear part, no zero row
+        certify_polynomial_inverse(PolySystem([z(0) + z(1) + z(0) ** 2, z(0) + z(1)]))
 
 
 def test_member_implies_jlin(rng):

@@ -166,9 +166,15 @@ def test_lift_restrict_permute():
     assert q.permute_vars([1, 0]) == P.monomial((1, 2), 1)
 
 
-def test_truncate_block():
-    p = P.monomial((1, 3), 1) + P.monomial((2, 1), 1)
-    assert p.truncate_block(1, 2, 1) == P.monomial((2, 1), 1)
+def test_mul_truncated_by_block_degree():
+    p = P.monomial((1, 1), 1) + P.monomial((2, 0), 1)
+    q = P.monomial((0, 2), 1) + P.monomial((1, 0), 1)
+    # degree counted from variable 1 on: z1^2*z2^0 * z2^2 has block degree 2
+    assert p.mul(q, 1, 1) == P.monomial((2, 1), 1) + P.monomial((3, 0), 1)
+    assert p.mul(q, 2, 1) == p * q - P.monomial((1, 3), 1)
+    # start 0 counts the total degree
+    assert p.mul(q, 3) == P.monomial((2, 1), 1) + P.monomial((3, 0), 1)
+    assert p.mul(q, 2) == P.zero(2)
 
 
 def test_zero_variable_ring():
