@@ -1,7 +1,7 @@
 """The acceptance suite: every check the library promises, run end to end.
 
-Each criterion function returns a :class:`CheckResult`; :func:`run_all`
-executes the whole battery.  All checks are exact (zero tolerance) and
+Each criterion function returns a :class:`CheckResult`; :data:`ALL_CRITERIA`
+lists the whole battery in order.  All checks are exact (zero tolerance) and
 deterministic given the seed.  The same functions back the test suite and
 the ``verify-all`` command.
 """
@@ -415,7 +415,3 @@ ALL_CRITERIA = [
     criterion_9_theta_homogeneity,
     criterion_10_euler_and_chain_rule,
 ]
-
-
-def run_all(seed: int = DEFAULT_SEED) -> list[CheckResult]:
-    return [fn(seed) for fn in ALL_CRITERIA]

@@ -190,13 +190,14 @@ def separation_witnesses(d: int) -> tuple[FamilyInstance, FamilyInstance]:
 
 
 def curated_instances(d: int) -> list[FamilyInstance]:
+    if d < 2:
+        raise ValueError("family degree starts at 2")
     zeros = [0] * (d + 1)
     first_case = list(zeros)
     first_case[d] = Fraction(1, 2)
     second_case = list(zeros)
     second_case[0] = 1
-    if d >= 2:
-        second_case[d - 1] = Fraction(-1, 2)
+    second_case[d - 1] = Fraction(-1, 2)
     bad_partial = list(zeros)
     bad_partial[d] = 1
     out = [

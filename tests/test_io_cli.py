@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from polyred import acceptance
 from polyred.cli import main
 from polyred.family import FamilyInstance, family_system
 from polyred.gaussian import Q
@@ -234,6 +235,46 @@ def test_cli_rejects_vacuous_counts_and_negative_caps(member_file, capsys):
     assert capsys.readouterr().out == ""
     assert main(["check-partial", member_file, "--n1", "0", "--cap", "0"]) == 1
     assert json.loads(capsys.readouterr().out)["verdict"] == "undetermined"
+
+
+@pytest.mark.parametrize("d", ["-1", "-7", "0", "1"])
+def test_cli_example_s4_rejects_degree_below_two(d, capsys):
+    assert main(["example-s4", "--d", d, "--count", "2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: family degree starts at 2\n"
+
+
+def _stub_criteria():
+    return [lambda seed: acceptance.CheckResult("stub pass", True, f"seed {seed}"),
+            lambda seed: acceptance.CheckResult("stub fail", False, "broken")]
+
+
+def test_cli_verify_all_without_timing_has_no_elapsed_ms(monkeypatch, capsys):
+    monkeypatch.setattr(acceptance, "ALL_CRITERIA", _stub_criteria())
+    code, out = run_cli(capsys, "verify-all", "--seed", "5")
+    assert code == 1
+    assert out == dumps_canonical({
+        "command": "verify-all",
+        "seed": 5,
+        "criteria": [{"name": "stub pass", "passed": True, "detail": "seed 5"},
+                     {"name": "stub fail", "passed": False, "detail": "broken"}],
+        "passed": False,
+    })
+
+
+def test_cli_verify_all_timing_times_each_criterion(monkeypatch, capsys):
+    monkeypatch.setattr(acceptance, "ALL_CRITERIA", _stub_criteria())
+    _, plain = run_cli(capsys, "verify-all", "--seed", "5")
+    code, out = run_cli(capsys, "--timing", "verify-all", "--seed", "5")
+    assert code == 1
+    rep = json.loads(out)
+    assert [sorted(c) for c in rep["criteria"]] == \
+        [["detail", "elapsed_ms", "name", "passed"]] * 2
+    elapsed = [c.pop("elapsed_ms") for c in rep["criteria"]]
+    assert all(isinstance(ms, int) and ms >= 0 for ms in elapsed)
+    assert isinstance(rep.pop("elapsed_ms"), int)
+    assert rep == json.loads(plain)
 
 
 def test_cli_pretty_format(ident_file, capsys):
