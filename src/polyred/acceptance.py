@@ -28,6 +28,7 @@ from .jacobian import (
     NON_MEMBER,
     LinearPartError,
     certify_polynomial_inverse,
+    drop_degree_zero,
     jacobian_matrix,
 )
 from .poly import Polynomial, PolySystem
@@ -174,7 +175,6 @@ def criterion_5_transport_invertibility(seed: int = DEFAULT_SEED) -> CheckResult
     """Invertibility transports across the reduction on curated corpora."""
     problems = []
     invertible = curated_invertible_pairs()
-    ident = PolySystem.identity(2)
     for F, Finv in invertible:
         base = drop_const(F)
         rs = phi_algebraic(base)
@@ -207,7 +207,6 @@ def criterion_5_transport_invertibility(seed: int = DEFAULT_SEED) -> CheckResult
 
 
 def drop_const(F: PolySystem) -> PolySystem:
-    from .jacobian import drop_degree_zero
     out = drop_degree_zero(F)
     if out.degree_bound < 3:
         out = PolySystem(list(out.components), nvars=out.nvars, degree_bound=3)

@@ -64,6 +64,8 @@ class CouplingTensor:
 
     def __init__(self, dims: int, max_degree: int,
                  entries: dict[tuple[int, int, tuple[int, ...]], Gaussian] | None = None):
+        if dims < 1:
+            raise ValueError("a coupling tensor needs at least one variable")
         if max_degree < 2:
             raise ValueError("coupling degrees start at 2")
         self.dims = dims

@@ -127,6 +127,8 @@ def read_system(path: str) -> tuple[PolySystem, dict | None]:
             obj = json.load(fh)
         except json.JSONDecodeError as exc:
             raise SchemaError(f"{path}: invalid JSON: {exc}") from None
+        except RecursionError:
+            raise SchemaError(f"{path}: invalid JSON: nested too deeply") from None
     return system_from_dict(obj)
 
 

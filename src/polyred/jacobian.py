@@ -119,11 +119,12 @@ def certify_polynomial_inverse(F: PolySystem, degree_cap: int | None = None) -> 
     """Decide polynomial invertibility by a truncated inverse plus exact composition.
 
     :func:`polyred.series.truncated_block_inverse`, with no parameters,
-    normalizes F by its constant and linear parts and gives the formal
-    inverse truncated at degree cap as the candidate, which is certified by
-    composing both ways, exactly.  Failure at a cap at least d^(n-1) is
-    conclusive non-membership (no polynomial inverse can exceed that degree);
-    failure below the cap stays undetermined.  Raises :class:`LinearPartError`
+    normalizes F by its constant and linear parts, gives the formal inverse
+    truncated at degree cap as the candidate P, and certifies F(P) = y
+    exactly; the lemma in its docstring makes P a two-sided inverse.
+    Failure at a cap at least d^(n-1) is conclusive non-membership (no
+    polynomial inverse can exceed that degree); failure below the cap stays
+    undetermined.  Raises :class:`LinearPartError`
     when the linear part is singular.
     """
     if not F.is_square():
@@ -134,13 +135,11 @@ def certify_polynomial_inverse(F: PolySystem, degree_cap: int | None = None) -> 
                                  detail="empty system is trivially invertible")
     bound = classical_degree_cap(F.degree(), n)
     cap = bound if degree_cap is None else degree_cap
-    Q, candidate = truncated_block_inverse(F.components, n, 0, cap)
-    P = PolySystem(candidate, nvars=n)
-    ident = PolySystem.identity(n)
+    Q, candidate, exact = truncated_block_inverse(F.components, n, 0, cap)
     note = (f"degree cap {cap}; classical bound d^(n-1) = {bound} "
             f"(imported background result, not derived here)")
-    if F.after(P) == ident and P.after(F) == ident:
-        return MembershipVerdict(MEMBER, witness=P,
+    if exact:
+        return MembershipVerdict(MEMBER, witness=PolySystem(candidate, nvars=n),
                                  detail=f"exact two-sided polynomial inverse found; {note}")
     if cap >= bound:
         # grade r of the normalized formal inverse is its degree-(r + 1) part

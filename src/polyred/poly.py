@@ -97,9 +97,6 @@ class Polynomial:
             return -1
         return max(sum(e[start:end]) for e in self.terms)
 
-    def uses_var(self, i: int) -> bool:
-        return any(e[i] for e in self.terms)
-
     def sorted_terms(self) -> list[tuple[tuple, Gaussian]]:
         """Terms in descending graded-lex order."""
         return sorted(self.terms.items(), key=lambda kv: grlex_key(kv[0]), reverse=True)

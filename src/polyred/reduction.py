@@ -35,6 +35,7 @@ from .jacobian import (
     LinearPartError,
     MembershipVerdict,
     certify_polynomial_inverse,
+    drop_degree_zero,
     is_jlin,
     jacobian_matrix,
 )
@@ -363,8 +364,6 @@ def reduced_inverse_check(w: CouplingTensor, order: int) -> dict:
 
 def reduce_to_quadratic(F: PolySystem) -> list[ReducedSystem]:
     """Convenience driver: iterate the reduction until the degree bound is 2."""
-    from .jacobian import drop_degree_zero
-
     stages: list[ReducedSystem] = []
     current = F
     while current.degree_bound > 2:

@@ -19,9 +19,9 @@ The scalar log-partition series ln Z = sum_{r>=1} (1/r) tr((1 - J_F(G))^r)
 and the identity Z * det J_F(G) = 1 are provided on the same grading.
 
 :func:`truncated_block_inverse` normalizes a block system by its
-block-linear part and runs the same loop; block inversion in
-:mod:`polyred.elimination` and invertibility certification in
-:mod:`polyred.jacobian` both go through it.
+block-linear part, runs the same loop and certifies the result by one
+forward composition; block inversion in :mod:`polyred.elimination` and
+invertibility certification in :mod:`polyred.jacobian` both go through it.
 """
 
 from __future__ import annotations
@@ -282,8 +282,8 @@ def truncated_fixed_point(W: Sequence[Polynomial], nvars: int, start: int,
 
 
 def truncated_block_inverse(comps: Sequence[Polynomial], nvars: int, start: int,
-                            cap: int) -> tuple[list[Polynomial], list[Polynomial]]:
-    """Candidate inverse of a block system R, truncated at block degree ``cap``.
+                            cap: int) -> tuple[list[Polynomial], list[Polynomial], bool]:
+    """Candidate inverse of a block system R, truncated at block degree ``cap``, and its check.
 
     R has one component per variable from index ``start`` on; its
     coefficients are polynomials in the leading ``start`` parameters.  With
@@ -291,9 +291,18 @@ def truncated_block_inverse(comps: Sequence[Polynomial], nvars: int, start: int,
     have a nonzero constant determinant, so A^{-1} = adj(A) / det A is
     polynomial.  Then A^{-1}(R - b0) = y - W with W = -A^{-1} h,
     :func:`truncated_fixed_point` gives its truncated inverse Q, and the
-    candidate is Q(params, A^{-1}(y - b0)).  Returns (Q, candidate); nothing
-    here certifies the candidate.  Raises :class:`LinearPartError` when det A
-    is not a nonzero constant.
+    candidate P is Q(params, A^{-1}(y - b0)) (an affine R needs no rounds).
+    Returns (Q, P, exact).  Raises :class:`LinearPartError` when det A is not
+    a nonzero constant.
+
+    ``exact`` is the one certification every inverse in the library gets:
+    the forward composition R(params, P) == y, identically in (params, y).
+    It also proves P(params, R) == z.  Without parameters: F o P = id makes
+    P injective, hence dominant; P o F o P = P then gives P o F = id on the
+    Zariski-dense image of P, hence identically (van den Essen, *Polynomial
+    Automorphisms and the Jacobian Conjecture*, 2000, ch. 1).  With
+    parameters, apply the same argument to the maps (params, R) and
+    (params, P).
     """
     nb = nvars - start
     b0, A, higher = _block_linear_decomposition(comps, nvars, start)
@@ -310,10 +319,12 @@ def truncated_block_inverse(comps: Sequence[Polynomial], nvars: int, start: int,
     y = [Polynomial.variable(start + i, nvars) for i in range(nb)]
     params = [Polynomial.variable(i, nvars) for i in range(start)]
     undo = params + a_inv_applied([yj - b for yj, b in zip(y, b0)])
-    if all(h.is_zero() for h in higher):  # affine: no rounds, the inverse is exact
-        return y, undo[start:]
-    Q = truncated_fixed_point([-wj for wj in a_inv_applied(higher)], nvars, start, cap)
-    return Q, [q.compose(undo) for q in Q]
+    if all(h.is_zero() for h in higher):
+        Q, P = y, undo[start:]
+    else:
+        Q = truncated_fixed_point([-wj for wj in a_inv_applied(higher)], nvars, start, cap)
+        P = [q.compose(undo) for q in Q]
+    return Q, P, [r.compose(params + P) for r in comps] == y
 
 
 def formal_inverse_fixed_point(w: CouplingTensor, order: int,
@@ -376,13 +387,6 @@ class PlaneTree:
 
     def is_leaf(self) -> bool:
         return not self.children
-
-    @property
-    def size(self) -> int:
-        """Number of internal vertices."""
-        if self.is_leaf():
-            return 0
-        return 1 + sum(c.size for c in self.children)
 
     @property
     def theta_weight(self) -> int:

@@ -72,3 +72,5 @@ def test_validation():
         CouplingTensor(2, 3, {(5, 0, (0,) * 5): Q(1)})    # degree above bound
     with pytest.raises(ValueError):
         CouplingTensor(2, 3, {(2, 0, (0, 2)): Q(1)})      # index out of range
+    with pytest.raises(ValueError):
+        CouplingTensor(0, 2)                              # no variables

@@ -28,6 +28,31 @@ def z(i, n=2):
     return P.variable(i, n)
 
 
+def assert_two_sided_block_inverse(comps, inverse, nvars, start):
+    """R(z1, R^{-1}(y2; z1)) = y2 and R^{-1}(R(z2; z1); z1) = z2, identically.
+
+    The library certifies the first identity only; the second follows from it,
+    and checking it here keeps that lemma exercised.
+    """
+    params = [P.variable(i, nvars) for i in range(start)]
+    y = [P.variable(i, nvars) for i in range(start, nvars)]
+    assert [r.compose(params + list(inverse)) for r in comps] == y
+    assert [q.compose(params + list(comps)) for q in inverse] == y
+
+
+def assert_slice_inverse(F, n1, witness):
+    """F(P(y1)) = (y1, 0): the is_j_partial witness inverts F on the y2 = 0 slice."""
+    image = F.substitute(list(witness.components))
+    assert witness.nvars == n1
+    assert list(image.components) == ([P.variable(i, n1) for i in range(n1)] +
+                                      [P.zero(n1)] * (F.nvars - n1))
+
+
+def assert_two_sided(S, Sinv):
+    ident = PolySystem.identity(S.nvars)
+    assert S.after(Sinv) == ident and Sinv.after(S) == ident
+
+
 def test_split_block_readoff():
     S = PolySystem([z(0) + z(1), z(1) - z(0) ** 3])
     sp = split(S, 1)
@@ -51,12 +76,14 @@ def test_invert_R_closed_form():
     rinv = invert_R(split(S, 1))
     assert rinv.certified
     assert list(rinv.components) == [z(1) + P.monomial((3, 0), a)]
+    assert_two_sided_block_inverse(S.components[1:], rinv.components, 2, 1)
 
 
 def test_invert_R_identity():
     S = PolySystem.identity(2)
     rinv = invert_R(split(S, 1))
     assert rinv.certified and list(rinv.components) == [z(1)]
+    assert_two_sided_block_inverse(S.components[1:], rinv.components, 2, 1)
 
 
 def test_invert_R_singular_witness():
@@ -76,6 +103,7 @@ def test_invert_R_nonaffine_certified():
     assert rinv.certified
     assert list(rinv.components) == [v[1] + v[2] ** 2, v[2]]
     assert (rinv.status, rinv.detail) == ("certified", "exact block inverse (cap 2)")
+    assert_two_sided_block_inverse(S.components[1:], rinv.components, 3, 1)
 
 
 def test_invert_trailing_block_cap_too_low():
@@ -90,6 +118,7 @@ def test_invert_trailing_block_cap_too_low():
     assert full.certified and full.detail == "exact block inverse (cap 4)"
     u = y - x ** 2
     assert list(full.components) == [x - u ** 2, u]
+    assert_two_sided_block_inverse(R, full.components, 2, 0)
 
 
 def test_invert_R_nonaffine_non_invertible():
@@ -146,6 +175,7 @@ def test_schur_identity_random_affine(rng):
         sp = split(S, n1)
         rinv = invert_R(sp)
         assert rinv.certified
+        assert_two_sided_block_inverse(sp.r_components, rinv.components, sp.N, n1)
         ok, diff = schur_identity_check(sp, rinv)
         assert ok, str(diff)
 
@@ -156,6 +186,7 @@ def test_schur_identity_nonaffine_block(rng):
     sp = split(S, 1)
     rinv = invert_R(sp)
     assert rinv.certified
+    assert_two_sided_block_inverse(sp.r_components, rinv.components, 3, 1)
     ok, diff = schur_identity_check(sp, rinv)
     assert ok, str(diff)
 
@@ -169,7 +200,11 @@ def test_is_jlin_partial_boundary_matches_classical():
 
 def test_is_j_partial_boundary_matches_certification():
     for F, _ in curated_invertible_pairs()[:5]:
-        assert is_j_partial(F, 2).verdict == certify_polynomial_inverse(F).verdict
+        v = is_j_partial(F, 2)
+        assert v.verdict == certify_polynomial_inverse(F).verdict
+        if v.verdict == MEMBER:
+            assert_slice_inverse(F, 2, v.witness)
+            assert_two_sided(F, v.witness)
 
 
 def test_partial_classifiers_on_slice_member():
@@ -180,6 +215,18 @@ def test_partial_classifiers_on_slice_member():
     v = is_j_partial(F, 1)
     assert v.verdict == MEMBER
     assert list(v.witness.components) == [P.variable(0, 1), P.zero(1)]
+    assert_slice_inverse(F, 1, v.witness)
+
+
+def test_is_j_partial_witness_on_interacting_blocks():
+    # S = (2 z1 + (z2 + z1^3)^2, z2 + z1^3): H(.; 0) = 2 z1 is inverted by y1/2,
+    # and the slice inverse is P(y1) = (y1/2, -(y1/2)^3)
+    S = PolySystem([z(0).scale(2) + (z(1) + z(0) ** 3) ** 2, z(1) + z(0) ** 3])
+    v = is_j_partial(S, 1)
+    assert v.verdict == MEMBER
+    half = P.variable(0, 1).scale(Q(Fraction(1, 2)))
+    assert list(v.witness.components) == [half, -(half ** 3)]
+    assert_slice_inverse(S, 1, v.witness)
 
 
 def test_partial_classifiers_reject_bad_block():
@@ -191,7 +238,9 @@ def test_partial_classifiers_reject_bad_block():
 def test_degenerate_n1_zero():
     F = PolySystem([z(0) - z(1) ** 2, z(1)])
     assert is_jlin_partial(F, 0).verdict == MEMBER
-    assert is_j_partial(F, 0).verdict == MEMBER
+    v = is_j_partial(F, 0)
+    assert v.verdict == MEMBER
+    assert_slice_inverse(F, 0, v.witness)
     G = PolySystem([z(0) - z(0) ** 2, z(1)])
     assert is_j_partial(G, 0).verdict == NON_MEMBER
 
@@ -204,6 +253,7 @@ def test_assemble_inverse_triangular():
     assert hinv.certified
     Sinv = assemble_inverse(sp, PolySystem(list(hinv.components), nvars=2), rinv)
     assert Sinv == PolySystem([z(0) - z(1) ** 2, z(1)])
+    assert_two_sided(S, Sinv)
 
 
 def test_assemble_inverse_identity():
@@ -213,6 +263,7 @@ def test_assemble_inverse_identity():
     hinv = invert_H_parametrized(sp, rinv)
     Sinv = assemble_inverse(sp, PolySystem(list(hinv.components), nvars=3), rinv)
     assert Sinv == S
+    assert_two_sided(S, Sinv)
 
 
 def test_assemble_inverse_rejects_wrong_candidate():
@@ -236,3 +287,5 @@ def test_assemble_inverse_full_two_blocks():
     Sinv = assemble_inverse(sp, PolySystem(list(hinv.components), nvars=2), rinv)
     expected = PolySystem([z(0) - z(1) ** 2, z(1) - (z(0) - z(1) ** 2) ** 3])
     assert Sinv == expected
+    assert_two_sided(S, Sinv)
+    assert_two_sided_block_inverse(sp.r_components, rinv.components, 2, 1)

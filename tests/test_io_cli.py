@@ -227,6 +227,29 @@ def test_cli_usage_and_io_errors(capsys):
     assert main([]) == 2
 
 
+def test_cli_rejects_deeply_nested_json(tmp_path, capsys):
+    # nesting far beyond the interpreter's recursion limit is a schema error, not a crash
+    path = tmp_path / "nested.json"
+    path.write_text("[" * 200_000)
+    with pytest.raises(SchemaError, match="nested too deeply"):
+        read_system(str(path))
+    assert main(["check-jlin", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {path}: invalid JSON: nested too deeply\n"
+
+
+@pytest.mark.parametrize("command", ["invert", "partition"])
+def test_cli_graded_commands_reject_zero_variables(command, tmp_path, capsys):
+    path = tmp_path / "empty.json"
+    path.write_text(json.dumps({"version": 1, "nvars": 0, "degree_bound": 0,
+                                "components": []}))
+    assert main([command, str(path), "--order", "2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: a coupling tensor needs at least one variable\n"
+
+
 def test_cli_rejects_vacuous_counts_and_negative_caps(member_file, capsys):
     assert main(["example-s4", "--d", "2", "--count", "0"]) == 2
     assert main(["example-s4", "--d", "2", "--count", "-1"]) == 2

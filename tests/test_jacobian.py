@@ -1,4 +1,5 @@
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -15,6 +16,7 @@ from polyred.jacobian import (
     is_jlin,
     jacobian_matrix,
 )
+from polyred.io import read_system
 from polyred.poly import Polynomial, PolySystem, det
 from polyred.samples import (
     curated_invertible_pairs,
@@ -23,6 +25,7 @@ from polyred.samples import (
 )
 
 P = Polynomial
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def z(i, n=2):
@@ -188,6 +191,43 @@ def test_certify_undetermined_below_bound():
     v = certify_polynomial_inverse(Fs[0], 2)
     assert v.verdict == UNDETERMINED
     assert v.detail == "cap below the certified bound; " + _note(2, 6)
+
+
+def tame_map(n, d):
+    """F = L o T o M and its inverse M^{-1} o T^{-1} o L^{-1}, from the elementary steps.
+
+    T = (z_i + z_{i+1}^d for i < n, then z_n); M adds z_{i+1} to z_i for odd i
+    and L adds z_{i-1} to z_i for even i (1-based).  T^{-1} is back
+    substitution, so the inverse is known without any inversion routine.
+    """
+    v = [P.variable(i, n) for i in range(n)]
+    T = PolySystem([v[i] + v[i + 1] ** d for i in range(n - 1)] + [v[n - 1]])
+    w = [v[n - 1]]
+    for i in range(n - 2, -1, -1):
+        w.insert(0, v[i] - w[0] ** d)
+    M = PolySystem([v[i] + v[i + 1] if i % 2 == 0 and i + 1 < n else v[i] for i in range(n)])
+    Minv = PolySystem([v[i] - v[i + 1] if i % 2 == 0 and i + 1 < n else v[i] for i in range(n)])
+    L = PolySystem([v[i] + v[i - 1] if i % 2 == 1 else v[i] for i in range(n)])
+    Linv = PolySystem([v[i] - v[i - 1] if i % 2 == 1 else v[i] for i in range(n)])
+    return L.after(T.after(M)), Minv.after(PolySystem(w).after(Linv))
+
+
+@pytest.mark.parametrize("name, n, d", [("tame43", 4, 3), ("tame44", 4, 4)])
+def test_tame_fixtures_are_the_documented_maps(name, n, d):
+    F, _ = read_system(str(GOLDEN / f"{name}.json"))
+    assert F == tame_map(n, d)[0]
+
+
+def test_certify_tame44_finds_the_known_inverse():
+    # cap d^(n-1) = 64; the inverse has 1956 terms, so a backward composition
+    # P(F) would build degree-256 intermediates
+    F, _ = read_system(str(GOLDEN / "tame44.json"))
+    _, Finv = tame_map(4, 4)
+    assert sum(len(p.terms) for p in Finv.components) == 1956
+    v = certify_polynomial_inverse(F)
+    assert v.verdict == MEMBER
+    assert v.witness == Finv
+    assert v.detail == "exact two-sided polynomial inverse found; " + _note(64, 64)
 
 
 def test_certify_affine_and_shifted():
