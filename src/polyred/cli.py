@@ -16,7 +16,7 @@ import sys
 import time
 
 from . import acceptance
-from .couplings import CouplingTensor, NormalizationError
+from .couplings import CouplingTensor
 from .elimination import (
     BlockNotInvertibleError,
     build_H,
@@ -28,14 +28,13 @@ from .elimination import (
 from .family import corpus_report, sample_corpus, family_system
 from .gaussian import Gaussian
 from .io import (
-    SchemaError,
     dumps_canonical,
     polynomial_to_dict,
     read_system,
     system_to_dict,
     write_system,
 )
-from .jacobian import MEMBER, LinearPartError, MembershipVerdict, is_jlin
+from .jacobian import MEMBER, MembershipVerdict, is_jlin
 from .poly import Polynomial, PolySystem
 from .reduction import ALGEBRAIC, QFT, phi_algebraic, phi_qft_system
 from .series import (
@@ -47,14 +46,6 @@ from .series import (
 )
 
 ENV_ORDER = "POLYRED_ORDER"
-
-
-def _default_order() -> int:
-    raw = os.environ.get(ENV_ORDER, "")
-    try:
-        return max(int(raw), 0)
-    except ValueError:
-        return 5
 
 
 def _int_at_least(low: int):
@@ -212,7 +203,7 @@ def _series_grades(G) -> dict:
 def _cmd_invert(args) -> tuple[dict, int]:
     F, _ = read_system(args.system)
     w = CouplingTensor.from_system(F)
-    order = args.order if args.order is not None else _default_order()
+    order = args.order
     G = formal_inverse_fixed_point(w, order)
     defect_zero = inversion_defect(w, G).is_zero()
     report = {
@@ -235,9 +226,7 @@ def _cmd_invert(args) -> tuple[dict, int]:
 def _cmd_partition(args) -> tuple[dict, int]:
     F, _ = read_system(args.system)
     w = CouplingTensor.from_system(F)
-    order = args.order if args.order is not None else _default_order()
-    if order < 1:
-        raise SchemaError("partition needs order >= 1")
+    order = args.order
     lnZ = log_partition_function(w, order)
     ok, residual = z_det_identity_check(w, order)
     report = {
@@ -319,14 +308,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("invert", help="graded formal inverse of a normalized system")
     p.add_argument("system")
-    p.add_argument("--order", type=int, default=None,
+    p.add_argument("--order", type=_int_at_least(0), default=os.environ.get(ENV_ORDER, "5"),
                    help=f"truncation order (default ${ENV_ORDER} or 5)")
     p.add_argument("--oracle", choices=("trees",), default=None)
     p.set_defaults(fn=_cmd_invert)
 
     p = sub.add_parser("partition", help="log partition series and determinant identity")
     p.add_argument("system")
-    p.add_argument("--order", type=int, default=None)
+    p.add_argument("--order", type=_int_at_least(1), default=os.environ.get(ENV_ORDER, "5"),
+                   help=f"truncation order (default ${ENV_ORDER} or 5)")
     p.set_defaults(fn=_cmd_partition)
 
     p = sub.add_parser("example-s4", help="two-variable family corpus run")
@@ -351,13 +341,12 @@ def main(argv=None) -> int:
     t0 = time.monotonic()
     try:
         report, code = args.fn(args)
-    except (SchemaError, NormalizationError, LinearPartError, FileNotFoundError,
-            IsADirectoryError, ValueError) as exc:
+        if args.timing:
+            report["elapsed_ms"] = int((time.monotonic() - t0) * 1000)
+        _emit(report, args)
+    except (ValueError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
-    if args.timing:
-        report["elapsed_ms"] = int((time.monotonic() - t0) * 1000)
-    _emit(report, args)
     return code
 
 

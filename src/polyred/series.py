@@ -2,7 +2,9 @@
 
 The grading weight of a degree-k coupling is k - 1, so a product of couplings
 carries the sum of their weights.  A :class:`GradedPoly` is a scalar series
-truncated at a fixed weight: one polynomial per grade.  The formal inverse G
+truncated at a fixed weight: one :class:`Polynomial` whose extra last
+variable theta carries the grade, so series products and substitutions are
+``Polynomial.mul``/``compose`` cut at the order in theta.  The formal inverse G
 of a normalized system F(z) = z - sum W_k(z) is computed two independent
 ways:
 
@@ -36,25 +38,27 @@ from .poly import Polynomial, det
 
 
 class GradedPoly:
-    """Scalar series truncated at grade ``order``: parts[r] is the grade-r polynomial."""
+    """Scalar series truncated at grade ``order``, stored as one polynomial.
 
-    __slots__ = ("order", "nvars", "parts")
+    ``poly`` lives in ``nvars + 1`` variables: the last one is the grading
+    indeterminate theta, and the terms with theta-exponent r form the grade-r
+    part.  No term has theta-exponent above ``order``; products cut there, so
+    series arithmetic is :class:`Polynomial` arithmetic with the block-degree
+    cut applied to theta.
+    """
 
-    def __init__(self, order: int, nvars: int, parts: Sequence[Polynomial] | None = None):
+    __slots__ = ("order", "nvars", "poly")
+
+    def __init__(self, order: int, nvars: int, poly: Polynomial | None = None):
         if order < 0:
             raise ValueError("truncation order must be non-negative")
+        if poly is None:
+            poly = Polynomial.zero(nvars + 1)
+        elif poly.nvars != nvars + 1:
+            raise ValueError("a graded series needs one variable more than its ring")
         self.order = order
         self.nvars = nvars
-        if parts is None:
-            ps = [Polynomial.zero(nvars) for _ in range(order + 1)]
-        else:
-            ps = list(parts)[: order + 1]
-            while len(ps) < order + 1:
-                ps.append(Polynomial.zero(nvars))
-            for p in ps:
-                if p.nvars != nvars:
-                    raise ValueError("grade parts live in different rings")
-        self.parts = ps
+        self.poly = poly
 
     @staticmethod
     def zero(order: int, nvars: int) -> "GradedPoly":
@@ -62,67 +66,58 @@ class GradedPoly:
 
     @staticmethod
     def of_poly(p: Polynomial, order: int, grade: int = 0) -> "GradedPoly":
-        g = GradedPoly(order, p.nvars)
-        if grade <= order:
-            g.parts[grade] = p
-        return g
+        """p placed at ``grade`` (the zero series when grade > order)."""
+        if grade > order:
+            return GradedPoly(order, p.nvars)
+        return GradedPoly(order, p.nvars,
+                          Polynomial(p.nvars + 1, {e + (grade,): c for e, c in p.terms.items()}))
 
     @staticmethod
     def one(order: int, nvars: int) -> "GradedPoly":
         return GradedPoly.of_poly(Polynomial.one(nvars), order)
 
     def grade(self, r: int) -> Polynomial:
-        return self.parts[r] if r <= self.order else Polynomial.zero(self.nvars)
+        return Polynomial(self.nvars, {e[:-1]: c for e, c in self.poly.terms.items() if e[-1] == r})
+
+    @property
+    def parts(self) -> list[Polynomial]:
+        return [self.grade(r) for r in range(self.order + 1)]
 
     def is_zero(self) -> bool:
-        return all(p.is_zero() for p in self.parts)
+        return self.poly.is_zero()
 
     def min_grade(self) -> int | None:
-        for r, p in enumerate(self.parts):
-            if not p.is_zero():
-                return r
-        return None
+        return min((e[-1] for e in self.poly.terms), default=None)
+
+    def _with(self, poly: Polynomial) -> "GradedPoly":
+        return GradedPoly(self.order, self.nvars, poly)
 
     def __add__(self, other: "GradedPoly") -> "GradedPoly":
         self._check(other)
-        return GradedPoly(self.order, self.nvars,
-                          [a + b for a, b in zip(self.parts, other.parts)])
+        return self._with(self.poly + other.poly)
 
     def __sub__(self, other: "GradedPoly") -> "GradedPoly":
         self._check(other)
-        return GradedPoly(self.order, self.nvars,
-                          [a - b for a, b in zip(self.parts, other.parts)])
+        return self._with(self.poly - other.poly)
 
     def __neg__(self) -> "GradedPoly":
-        return GradedPoly(self.order, self.nvars, [-p for p in self.parts])
+        return self._with(-self.poly)
 
     def scale(self, c) -> "GradedPoly":
-        return GradedPoly(self.order, self.nvars, [p.scale(c) for p in self.parts])
+        return self._with(self.poly.scale(c))
 
     def __mul__(self, other: "GradedPoly") -> "GradedPoly":
         self._check(other)
-        out = [Polynomial.zero(self.nvars) for _ in range(self.order + 1)]
-        for r1, p1 in enumerate(self.parts):
-            if p1.is_zero():
-                continue
-            for r2 in range(0, self.order - r1 + 1):
-                p2 = other.parts[r2]
-                if p2.is_zero():
-                    continue
-                out[r1 + r2] = out[r1 + r2] + p1 * p2
-        return GradedPoly(self.order, self.nvars, out)
+        return self._with(self.poly.mul(other.poly, self.order, self.nvars))
 
     def shift(self, k: int) -> "GradedPoly":
         """Multiply by the grading indeterminate to the k-th power."""
-        out = [Polynomial.zero(self.nvars) for _ in range(self.order + 1)]
-        for r, p in enumerate(self.parts):
-            if r + k <= self.order:
-                out[r + k] = p
-        return GradedPoly(self.order, self.nvars, out)
+        theta_k = Polynomial.monomial((0,) * self.nvars + (k,), 1)
+        return self._with(self.poly.mul(theta_k, self.order, self.nvars))
 
     def exp(self) -> "GradedPoly":
         """exp of a series with vanishing grade-0 part (finite sum after truncation)."""
-        if not self.parts[0].is_zero():
+        if self.min_grade() == 0:
             raise ValueError("exp needs a series with zero grade-0 part")
         out = GradedPoly.one(self.order, self.nvars)
         power = GradedPoly.one(self.order, self.nvars)
@@ -136,7 +131,7 @@ class GradedPoly:
     def __eq__(self, other):
         if not isinstance(other, GradedPoly):
             return NotImplemented
-        return (self.order, self.nvars, self.parts) == (other.order, other.nvars, other.parts)
+        return (self.order, self.nvars, self.poly) == (other.order, other.nvars, other.poly)
 
     def _check(self, other: "GradedPoly"):
         if self.order != other.order or self.nvars != other.nvars:
@@ -151,26 +146,10 @@ def compose_poly(p: Polynomial, args: Sequence[GradedPoly], order: int) -> Grade
     """Evaluate a polynomial on graded-series arguments, truncating at ``order``."""
     if len(args) != p.nvars:
         raise ValueError("composition arity mismatch")
-    if p.nvars == 0:
+    if not args:
         return GradedPoly.of_poly(Polynomial.constant(p.constant_term(), 0), order)
     nv = args[0].nvars
-    # pow_cache[i][e - 1] = args[i]**e, grown one factor at a time (no recursion).
-    pow_cache: list[list[GradedPoly]] = [[a] for a in args]
-
-    def power(i: int, e: int) -> GradedPoly:
-        cache = pow_cache[i]
-        while len(cache) < e:
-            cache.append(cache[-1] * args[i])
-        return cache[e - 1]
-
-    out = GradedPoly.zero(order, nv)
-    for exps, c in p.terms.items():
-        term = GradedPoly.of_poly(Polynomial.constant(c, nv), order)
-        for i, e in enumerate(exps):
-            if e:
-                term = term * power(i, e)
-        out = out + term
-    return out
+    return GradedPoly(order, nv, p.compose([a.poly for a in args], order, nv))
 
 
 class GradedSeriesVector:
@@ -208,9 +187,6 @@ class GradedSeriesVector:
         if not isinstance(other, GradedSeriesVector):
             return NotImplemented
         return self.components == other.components
-
-    def __sub__(self, other: "GradedSeriesVector") -> "GradedSeriesVector":
-        return GradedSeriesVector([a - b for a, b in zip(self.components, other.components)])
 
     def is_zero(self) -> bool:
         return all(c.is_zero() for c in self.components)
@@ -350,9 +326,11 @@ def formal_inverse_fixed_point(w: CouplingTensor, order: int,
     W = [sum((w.coupling_poly(i, k) for k in w.degrees()), Polynomial.zero(n))
          for i in range(n)]
     Q = truncated_fixed_point(W, n, 0, order + 1)
+    # Tag each degree-(r + 1) term of Q with theta^r, then substitute the source.
+    lifted = [s.lift(nv + 1) for s in source] + [Polynomial.variable(nv, nv + 1)]
     return GradedSeriesVector([
-        GradedPoly(order, nv, [q.homogeneous_part(r + 1).compose(source)
-                               for r in range(order + 1)])
+        GradedPoly(order, nv, Polynomial(n + 1, {e + (sum(e) - 1,): c
+                                                 for e, c in q.terms.items()}).compose(lifted))
         for q in Q])
 
 
@@ -591,12 +569,7 @@ def theta_homogeneity_check(w: CouplingTensor, order: int, lam) -> bool:
     if lam.is_zero():
         raise ValueError("scaling factor must be nonzero")
     G = formal_inverse_fixed_point(w, order)
-    n = G.nvars
     inv = lam.inverse()
-    for comp in G.components:
-        for r, p in enumerate(comp.parts):
-            # lam^{-r} rescales the grade, lam^{-1} is the overall prefactor.
-            scaled = p.scale_vars([lam] * n).scale(inv ** (r + 1))
-            if scaled != p:
-                return False
-    return True
+    # theta -> theta / lam undoes the grade, lam^(-1) is the overall prefactor.
+    factors = [lam] * G.nvars + [inv]
+    return all(c.poly.scale_vars(factors).scale(inv) == c.poly for c in G.components)

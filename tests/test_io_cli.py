@@ -183,6 +183,26 @@ def test_cli_order_env_default(member_file, capsys, monkeypatch):
     assert json.loads(out)["order"] == 2
 
 
+@pytest.mark.parametrize("command", ["invert", "partition"])
+@pytest.mark.parametrize("raw", ["-3", "abc", ""])
+def test_cli_order_env_is_validated_like_the_flag(command, raw, member_file, capsys,
+                                                  monkeypatch):
+    monkeypatch.setenv("POLYRED_ORDER", raw)
+    assert main([command, member_file]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--order" in captured.err
+
+
+@pytest.mark.parametrize("command", ["invert", "partition"])
+@pytest.mark.parametrize("raw", ["4", "abc"])
+def test_cli_order_flag_overrides_env(command, raw, member_file, capsys, monkeypatch):
+    monkeypatch.setenv("POLYRED_ORDER", raw)
+    code, out = run_cli(capsys, command, member_file, "--order", "2")
+    assert code == 0
+    assert json.loads(out)["order"] == 2
+
+
 def test_cli_eliminate_reports_witness_on_failure(tmp_path, capsys):
     path = tmp_path / "bad.json"
     write_system(str(path), PolySystem([z(0), z(1) - z(1) ** 2], degree_bound=2))
@@ -255,6 +275,7 @@ def test_cli_rejects_vacuous_counts_and_negative_caps(member_file, capsys):
     assert main(["example-s4", "--d", "2", "--count", "-1"]) == 2
     assert main(["check-partial", member_file, "--n1", "0", "--cap", "-1"]) == 2
     assert main(["eliminate", member_file, "--n1", "0", "--cap", "-3"]) == 2
+    assert main(["partition", member_file, "--order", "0"]) == 2
     assert capsys.readouterr().out == ""
     assert main(["check-partial", member_file, "--n1", "0", "--cap", "0"]) == 1
     assert json.loads(capsys.readouterr().out)["verdict"] == "undetermined"
@@ -311,3 +332,12 @@ def test_cli_out_file(ident_file, tmp_path, capsys):
     code, out = run_cli(capsys, "--out", str(target), "check-jlin", ident_file)
     assert code == 0 and out == ""
     assert json.loads(target.read_text())["verdict"] == "member"
+
+
+@pytest.mark.parametrize("where", ["missing-dir/report.json", "."])
+def test_cli_unwritable_out_is_an_input_error(where, ident_file, tmp_path, capsys):
+    # a missing parent directory or a directory as target: exit 2, no traceback
+    assert main(["--out", str(tmp_path / where), "check-jlin", ident_file]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")

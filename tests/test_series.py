@@ -1,14 +1,16 @@
 from fractions import Fraction
-from math import comb
+from math import comb, factorial
 
 import pytest
+from hypothesis import given, strategies as st
 
 from polyred.couplings import CouplingTensor
-from polyred.gaussian import Q
+from polyred.gaussian import Gaussian, Q
 from polyred.poly import Polynomial, PolySystem
 from polyred.samples import random_couplings
 from polyred.series import (
     GradedPoly,
+    compose_poly,
     enumerate_trees,
     formal_inverse_fixed_point,
     inversion_defect,
@@ -176,3 +178,102 @@ def test_graded_poly_arithmetic():
     e = a.exp()
     assert e.grade(0) == P.one(1)
     assert e.grade(2) == P.monomial((2,), Q("1/2"))
+
+
+# -- GradedPoly against a grade-list reference ----------------------------------
+# The reference keeps one Polynomial per grade 0..order and multiplies by
+# convolution, independently of the theta-variable storage under test.
+
+
+def ref_mul(a, b, order):
+    out = [P.zero(a[0].nvars) for _ in range(order + 1)]
+    for r1, p1 in enumerate(a):
+        for r2, p2 in enumerate(b):
+            if r1 + r2 <= order:
+                out[r1 + r2] = out[r1 + r2] + p1 * p2
+    return out
+
+
+def ref_exp(a, order):
+    out = [P.one(a[0].nvars)] + [P.zero(a[0].nvars)] * order
+    power = list(out)
+    for m in range(1, order + 1):
+        power = ref_mul(power, a, order)
+        out = [o + p.scale(Q(Fraction(1, factorial(m)))) for o, p in zip(out, power)]
+    return out
+
+
+def ref_compose(p, args, order):
+    nv = args[0][0].nvars
+    out = [P.zero(nv) for _ in range(order + 1)]
+    for exps, c in p.terms.items():
+        term = [P.constant(c, nv)] + [P.zero(nv)] * order
+        for i, e in enumerate(exps):
+            for _ in range(e):
+                term = ref_mul(term, args[i], order)
+        out = [o + t for o, t in zip(out, term)]
+    return out
+
+
+def of_parts(parts, order):
+    acc = GradedPoly.zero(order, parts[0].nvars)
+    for r, p in enumerate(parts):
+        acc = acc + GradedPoly.of_poly(p, order, grade=r)
+    return acc
+
+
+complex_coeff = st.builds(Gaussian, st.integers(-3, 3), st.integers(-3, 3), st.integers(1, 3))
+
+
+def ring_polys(nvars):
+    return st.dictionaries(st.tuples(*[st.integers(0, 2)] * nvars), complex_coeff,
+                           max_size=3).map(lambda terms: P(nvars, terms))
+
+
+@st.composite
+def graded_case(draw, count=2, zero_grade0=False):
+    """(order, nvars, [grade lists]): ``count`` series in one ring and order."""
+    order, nvars = draw(st.integers(0, 3)), draw(st.integers(1, 2))
+    series = []
+    for _ in range(count):
+        parts = [draw(ring_polys(nvars)) for _ in range(order + 1)]
+        if zero_grade0:
+            parts[0] = P.zero(nvars)
+        series.append(parts)
+    return order, nvars, series
+
+
+@given(graded_case())
+def test_graded_poly_matches_grade_lists(case):
+    order, nvars, (a, b) = case
+    ga, gb = of_parts(a, order), of_parts(b, order)
+    assert ga.parts == a and ga.grade(order + 1).is_zero()
+    assert (ga * gb).parts == ref_mul(a, b, order)
+    assert (ga - gb).parts == [x - y for x, y in zip(a, b)]
+    nonzero = [r for r, p in enumerate(a) if not p.is_zero()]
+    assert ga.min_grade() == (nonzero[0] if nonzero else None)
+    assert ga.is_zero() == (not nonzero)
+    assert (ga == gb) == (a == b)
+    for k in range(order + 2):
+        assert ga.shift(k).parts == [P.zero(nvars)] * min(k, order + 1) + a[:order + 1 - k]
+
+
+@given(graded_case(count=1, zero_grade0=True))
+def test_graded_poly_exp_matches_grade_lists(case):
+    order, _, (a,) = case
+    assert of_parts(a, order).exp().parts == ref_exp(a, order)
+
+
+@given(graded_case(), st.data())
+def test_compose_poly_matches_grade_lists(case, data):
+    order, _, args = case
+    p = data.draw(ring_polys(len(args)))
+    got = compose_poly(p, [of_parts(a, order) for a in args], order)
+    assert got.parts == ref_compose(p, args, order)
+
+
+@given(ring_polys(2), st.integers(0, 3), st.integers(0, 5))
+def test_graded_poly_of_poly_places_one_grade(p, order, grade):
+    g = GradedPoly.of_poly(p, order, grade)
+    for r in range(order + 2):
+        assert g.grade(r) == (p if r == grade <= order else P.zero(2))
