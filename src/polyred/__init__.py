@@ -59,6 +59,7 @@ from .reduction import (
     aux_index,
     h_recovery_check,
     is_in_image_of_phi,
+    phi,
     phi_algebraic,
     phi_qft,
     phi_qft_system,

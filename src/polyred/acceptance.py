@@ -11,15 +11,14 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations_with_replacement
 
 from .couplings import CouplingTensor
 from .elimination import invert_R, is_j_partial, schur_identity_check, split
 from .family import (
-    FamilyInstance,
     closed_sum_form,
     corpus_report,
     reference_form_deviation,
+    sample_specialized_instance,
     specialized_jacobian,
 )
 from .gaussian import ZERO, Gaussian, Q
@@ -38,7 +37,7 @@ from .samples import (
     random_affine_split_system,
     random_couplings,
     random_normalized_system,
-    random_rational,
+    random_poly,
     random_zero_constant_system,
 )
 from .reduction import (
@@ -191,7 +190,8 @@ def criterion_5_transport_invertibility(seed: int = DEFAULT_SEED) -> CheckResult
             problems.append(f"slice composition failed: {F}")
         if list(P.components[:2]) != list(Finv.components):
             problems.append(f"restricted inverse differs from the known one: {F}")
-    for F in curated_non_invertible():
+    non_invertible = curated_non_invertible()
+    for F in non_invertible:
         try:
             cert = certify_polynomial_inverse(F)
             cert_verdict = cert.verdict
@@ -202,8 +202,9 @@ def criterion_5_transport_invertibility(seed: int = DEFAULT_SEED) -> CheckResult
         if not (cert_verdict == NON_MEMBER and v.verdict == NON_MEMBER):
             problems.append(f"non-member mismatch: {F}: {cert_verdict} vs {v.verdict}")
     return CheckResult("5 reduction transport (invertibility side)", not problems,
-                       f"20 invertible + 20 non-invertible instances; "
-                       f"{len(problems)} problems" + (f": {problems[:2]}" if problems else ""))
+                       f"{len(invertible)} invertible + {len(non_invertible)} non-invertible "
+                       f"instances; {len(problems)} problems"
+                       + (f": {problems[:2]}" if problems else ""))
 
 
 def drop_const(F: PolySystem) -> PolySystem:
@@ -252,14 +253,10 @@ def criterion_7_family_reproduction(seed: int = DEFAULT_SEED) -> CheckResult:
     rng = random.Random(seed + 4)
     for d in (2, 3, 4):
         for _ in range(40):
-            zeros = [Fraction(0)] * (d + 1)
-            a1 = [random_rational(rng) for _ in range(d + 1)]
-            a2 = list(zeros)
-            a2[d] = random_rational(rng)
-            inst = FamilyInstance.of(d, a1, a2)
+            inst = sample_specialized_instance(d, rng)
             truth = specialized_jacobian(inst)
             if truth != closed_sum_form(inst):
-                problems.append(f"d={d}: closed sum deviates for {a1}, {a2}")
+                problems.append(f"d={d}: closed sum deviates for {inst}")
                 continue
             # Termwise shape: coefficient k(d-1)-d^2 at exponent (d-1)(d+1-k);
             # those exponents are distinct over k and never zero, so they
@@ -297,11 +294,7 @@ def criterion_7d_display_template(seed: int = DEFAULT_SEED) -> CheckResult:
     deviating = 0
     for d in (2, 3, 4):
         for _ in range(10):
-            zeros = [Fraction(0)] * (d + 1)
-            a1 = [random_rational(rng) for _ in range(d + 1)]
-            a2 = list(zeros)
-            a2[d] = random_rational(rng)
-            inst = FamilyInstance.of(d, a1, a2)
+            inst = sample_specialized_instance(d, rng)
             dev = reference_form_deviation(inst)
             terms: dict[tuple, Gaussian] = {}
             for k in range(d + 1):
@@ -314,7 +307,7 @@ def criterion_7d_display_template(seed: int = DEFAULT_SEED) -> CheckResult:
             e = ((d - 1) * (d + 1),)
             terms[e] = terms.get(e, ZERO) + inst.a1[0] * (inst.a2[d] ** d)
             predicted = Polynomial(1, terms)
-            where = f"d={d}, a1={[str(x) for x in a1]}, a={a2[d]}"
+            where = f"d={d}, a1={[str(x) for x in inst.a1]}, a={inst.a2[d]}"
             if dev["truth"] != closed_sum_form(inst):
                 problems.append(f"{where}: truth is not the closed sum")
             if dev["difference"] != dev["template"] - dev["truth"]:
@@ -373,16 +366,7 @@ def criterion_10_euler_and_chain_rule(seed: int = DEFAULT_SEED) -> CheckResult:
     for _ in range(100):
         n = rng.choice((1, 2, 3))
         d = rng.randint(1, 4)
-        terms = {}
-        for exps in combinations_with_replacement(range(n), d):
-            if rng.random() < 0.5:
-                e = [0] * n
-                for v in exps:
-                    e[v] += 1
-                c = random_rational(rng, dense=True)
-                if c:
-                    terms[tuple(e)] = Gaussian(c)
-        A = Polynomial(n, terms)
+        A = random_poly(rng, n, [d], 0.5, dense=True)
         euler = Polynomial.zero(n)
         for i in range(n):
             euler = euler + Polynomial.variable(i, n) * A.partial(i)

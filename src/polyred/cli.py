@@ -10,7 +10,6 @@ deterministic for fixed inputs, flags and seed; timing is attached only when
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 import time
@@ -36,7 +35,7 @@ from .io import (
 )
 from .jacobian import MEMBER, MembershipVerdict, is_jlin
 from .poly import Polynomial, PolySystem
-from .reduction import ALGEBRAIC, QFT, phi_algebraic, phi_qft_system
+from .reduction import ALGEBRAIC, QFT, phi
 from .series import (
     formal_inverse_fixed_point,
     inversion_defect,
@@ -175,10 +174,7 @@ def _cmd_eliminate(args) -> tuple[dict, int]:
 
 def _cmd_reduce(args) -> tuple[dict, int]:
     F, _ = read_system(args.system)
-    if args.variant == ALGEBRAIC:
-        rs = phi_algebraic(F)
-    else:
-        rs = phi_qft_system(F)
+    rs = phi(F, args.variant)
     prov = rs.provenance()
     report = {
         "command": "reduce",

@@ -170,6 +170,12 @@ def sample_instance(d: int, rng: random.Random) -> FamilyInstance:
     )
 
 
+def sample_specialized_instance(d: int, rng: random.Random) -> FamilyInstance:
+    """One pool-valued instance with a[2,k] = 0 for k < d (closed block inverse)."""
+    a1 = [random_rational(rng) for _ in range(d + 1)]
+    return FamilyInstance.of(d, a1, [0] * d + [random_rational(rng)])
+
+
 def separation_witnesses(d: int) -> tuple[FamilyInstance, FamilyInstance]:
     """(member of the partial class only, member of the classical class only).
 

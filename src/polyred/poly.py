@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from typing import Iterable, Mapping, Sequence
 
-from .gaussian import Gaussian, Q, ZERO, ONE
+from .gaussian import Gaussian, ZERO, ONE
 
 
 def grlex_key(exps: tuple) -> tuple:

@@ -21,6 +21,11 @@ Two variants are implemented, because they genuinely differ:
 For both variants the auxiliary block of the image is affine in z2 with
 identity linear part, so the elimination block inverse is trivially
 certified, and H(.; 0) recovers F exactly.
+
+:func:`phi` dispatches on the variant name.  :func:`is_in_image_of_phi`
+recovers the only possible preimage from the auxiliary block by an Euler
+contraction and certifies it by one forward application of phi: a system is
+an image exactly when phi of its recovered candidate reproduces it.
 """
 
 from __future__ import annotations
@@ -28,7 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .couplings import CouplingTensor, _exps_of_tuple, _tuple_of_exps
+from .couplings import CouplingTensor, _tuple_of_exps
 from .gaussian import Gaussian, ONE
 from .jacobian import (
     NON_MEMBER,
@@ -165,126 +170,62 @@ def phi_qft_system(F: PolySystem) -> ReducedSystem:
     return ReducedSystem(wt.to_system(), F.nvars, QFT)
 
 
-def _fail(detail: str) -> ImageCheck:
-    return ImageCheck(False, detail=detail)
-
-
-def _extract_aux_residue(Ft: PolySystem, n: int):
-    """Check the auxiliary block is var - (z1-only polynomial); return those polynomials."""
-    N = n * (n + 1)
-    res = [[None] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            a = aux_index(n, i, j)
-            p = Polynomial.variable(a, N) - Ft.components[a]
-            if any(any(e[n:]) for e in p.terms):
-                return None, (i, j)
-            res[i][j] = p.restrict(n)
-    return res, None
-
-
-def is_in_image_of_phi(Ft: PolySystem, n: int, variant: str) -> ImageCheck:
-    """Structural membership test; on success the unique preimage is returned."""
-    N = n * (n + 1)
-    if Ft.nvars != N or len(Ft.components) != N:
-        raise ValueError(f"image candidates must be square of dimension n(n+1) = {N}")
+def phi(F: PolySystem, variant: str) -> ReducedSystem:
+    """The reduction of the named variant; any other name is an error."""
     if variant == ALGEBRAIC:
-        return _image_check_algebraic(Ft, n)
+        return phi_algebraic(F)
     if variant == QFT:
-        return _image_check_qft(Ft, n)
+        return phi_qft_system(F)
     raise ValueError(f"unknown variant {variant!r}")
 
 
-def _image_check_algebraic(Ft: PolySystem, n: int) -> ImageCheck:
+def is_in_image_of_phi(Ft: PolySystem, n: int, variant: str) -> ImageCheck:
+    """Decide whether Ft = phi(F, variant) for some F; on success F is returned.
+
+    Recovery: in an image, auxiliary component (i, j) is z_aux(i,j) - r_ij
+    with r_ij in z1 only, and the Euler contraction E_i = sum_j z_j r_ij is
+    F_i (``algebraic``) or the top coupling W_d,i (``qft``, where the
+    first-block residue z_i - Ft_i - sum_j z_j z_aux(i,j) holds the couplings
+    of degree 3..d-1, so F_i = Ft_i + sum_j z_j z_aux(i,j) - E_i).
+    Certificate: Ft is in the image exactly when phi of that candidate is Ft.
+    A candidate that phi or :meth:`CouplingTensor.from_system` rejects, or
+    that still involves auxiliary variables, has no image and is refused.
+    """
     N = n * (n + 1)
-    for i in range(n):
-        expect = Polynomial.zero(N)
-        for j in range(n):
-            expect = expect + Polynomial.variable(aux_index(n, i, j), N) * \
-                Polynomial.variable(j, N)
-        if Ft.components[i] != expect:
-            return _fail(f"component {i} is not the required bilinear form")
-    psi, bad = _extract_aux_residue(Ft, n)
-    if psi is None:
-        return _fail(f"auxiliary component {bad} involves auxiliary variables")
-    # Degree-c slice of psi must be the weighted gradient of the recovered F_c.
-    comps = [Polynomial.zero(n) for _ in range(n)]
-    max_e = max((psi[i][j].degree() for i in range(n) for j in range(n)), default=-1)
-    for e in range(0, max_e + 1):
-        c = e + 1
+    if Ft.nvars != N or len(Ft.components) != N:
+        raise ValueError(f"image candidates must be square of dimension n(n+1) = {N}")
+    if variant not in (ALGEBRAIC, QFT):
+        raise ValueError(f"unknown variant {variant!r}")
+    z = [Polynomial.variable(k, N) for k in range(N)]
+    zero = Polynomial.zero(N)
+    try:
+        comps, euler = [], []
         for i in range(n):
-            Fc = Polynomial.zero(n)
-            for j in range(n):
-                Fc = Fc + Polynomial.variable(j, n) * psi[i][j].homogeneous_part(e)
-            for j in range(n):
-                if Fc.partial(j).scale(Gaussian(Fraction(1, c))) != psi[i][j].homogeneous_part(e):
-                    return _fail(
-                        f"auxiliary data at ({i}, {j}) is not a weighted gradient slice")
-            comps[i] = comps[i] + Fc
-    F = PolySystem(comps, nvars=n, degree_bound=max(3, max(c.degree() for c in comps) if comps else 3))
-    return ImageCheck(True, preimage=F, detail="recovered by Euler contraction")
-
-
-def _image_check_qft(Ft: PolySystem, n: int) -> ImageCheck:
-    N = n * (n + 1)
-    residues, bad = _extract_aux_residue(Ft, n)
-    if residues is None:
-        return _fail(f"auxiliary component {bad} involves auxiliary variables")
-    deg_aux = -1
-    for i in range(n):
-        for j in range(n):
-            p = residues[i][j]
-            if p.is_zero():
-                continue
-            dd = p.degree()
-            if p.homogeneous_part(dd) != p:
-                return _fail(f"auxiliary residue at ({i}, {j}) is not homogeneous")
-            if deg_aux in (-1, dd):
-                deg_aux = dd
+            slots = [aux_index(n, i, j) for j in range(n)]
+            euler.append(sum((z[j] * (z[a] - Ft.components[a]) for j, a in enumerate(slots)),
+                             zero))
+            if variant == ALGEBRAIC:
+                comps.append(euler[i].restrict(n))
             else:
-                return _fail("auxiliary residues have mixed degrees")
-    first_residues = []
-    for i in range(n):
-        p = Polynomial.variable(i, N) - Ft.components[i]
-        for j in range(n):
-            p = p - Polynomial.variable(j, N) * Polynomial.variable(aux_index(n, i, j), N)
-        if any(any(e[n:]) for e in p.terms):
-            return _fail(f"component {i} deviates from the unit bilinear template")
-        first_residues.append(p.restrict(n))
-    deg_first = max((p.degree() for p in first_residues), default=-1)
-    if any(not p.homogeneous_part(2).is_zero() or not p.homogeneous_part(1).is_zero()
-           or not p.constant_term().is_zero() for p in first_residues):
-        return _fail("first-block couplings must have degree at least 3")
-    if deg_aux >= 0:
-        d = deg_aux + 1
-    else:
-        d = max(3, deg_first + 1)
-    if deg_first > d - 1:
-        return _fail("first-block couplings exceed the implied degree budget")
-    # Integrability: the auxiliary residues must be the derivative slices of one tensor.
-    entries: dict[tuple[int, int, tuple[int, ...]], Gaussian] = {}
-    inv_d = Gaussian(Fraction(1, d))
-    for i in range(n):
-        Wd = Polynomial.zero(n)
-        for j in range(n):
-            Wd = Wd + Polynomial.variable(j, n) * residues[i][j]
-        for j in range(n):
-            if Wd.partial(j).scale(inv_d) != residues[i][j]:
-                return _fail(f"auxiliary residues at row {i} are not slices of one tensor")
-        for exps, c in Wd.terms.items():
-            entries[(d, i, _tuple_of_exps(exps))] = c
-        for k in range(3, d):
-            part = first_residues[i].homogeneous_part(k)
-            for exps, c in part.terms.items():
-                entries[(k, i, _tuple_of_exps(exps))] = c
-    w = CouplingTensor(n, d, entries)
-    return ImageCheck(True, preimage=w.to_system(), couplings=w,
-                      detail="recovered couplings from slices")
+                bilinear = sum((z[j] * z[a] for j, a in enumerate(slots)), zero)
+                comps.append((Ft.components[i] + bilinear - euler[i]).restrict(n))
+        degree = max((p.degree() for p in comps), default=-1)
+        if variant == QFT and all(p.is_zero() for p in euler):
+            degree += 1  # no top coupling: every coupling of F has degree below d
+        F = PolySystem(comps, nvars=n, degree_bound=max(3, degree))
+        couplings = CouplingTensor.from_system(F) if variant == QFT else None
+        image = phi(F, variant).system
+    except ValueError as exc:
+        return ImageCheck(False, detail=f"no candidate preimage: {exc}")
+    if image != Ft:
+        return ImageCheck(False, detail="phi of the recovered candidate differs from the system")
+    return ImageCheck(True, preimage=F, couplings=couplings,
+                      detail="recovered by Euler contraction, certified by phi")
 
 
 def h_recovery_check(F: PolySystem, variant: str) -> bool:
     """The eliminated system of the image, restricted to y2 = 0, equals F."""
-    rs = phi_algebraic(F) if variant == ALGEBRAIC else phi_qft_system(F)
+    rs = phi(F, variant)
     sp = split(rs.system, F.nvars)
     rinv = invert_R(sp)
     H0 = restrict_to_leading(build_H(sp, rinv), F.nvars)
@@ -294,7 +235,7 @@ def h_recovery_check(F: PolySystem, variant: str) -> bool:
 def transport_determinant_check(F: PolySystem, variant: str) -> dict:
     """det J of the image on the elimination variety vs det J_F; factor recorded."""
     n = F.nvars
-    rs = phi_algebraic(F) if variant == ALGEBRAIC else phi_qft_system(F)
+    rs = phi(F, variant)
     sp = split(rs.system, n)
     rinv = invert_R(sp)
     variety0 = [Polynomial.variable(i, n) for i in range(n)] + \
@@ -314,7 +255,7 @@ def verify_theorem_main(F: PolySystem, variant: str,
     test on the image; any verdict disagreement marks the report failed.
     """
     n = F.nvars
-    rs = phi_algebraic(F) if variant == ALGEBRAIC else phi_qft_system(F)
+    rs = phi(F, variant)
     lin_src = is_jlin(F)
     lin_img = is_jlin_partial(rs.system, n)
     try:

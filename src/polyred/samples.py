@@ -10,8 +10,7 @@ import random
 from fractions import Fraction
 from itertools import combinations_with_replacement
 
-from .couplings import CouplingTensor
-from .gaussian import Gaussian
+from .couplings import CouplingTensor, _tuple_of_exps
 from .poly import Polynomial, PolySystem
 
 _POOL = [Fraction(0), Fraction(1), Fraction(-1), Fraction(1, 2),
@@ -24,18 +23,31 @@ def random_rational(rng: random.Random, dense: bool = False) -> Fraction:
     return rng.choice(_POOL)
 
 
+def random_poly(rng: random.Random, nvars: int, degrees, density: float,
+                dense: bool | None = None) -> Polynomial:
+    """Keep each monomial of the given degrees with probability ``density``.
+
+    A kept monomial gets a :func:`random_rational` coefficient, dense with
+    probability 0.3 when ``dense`` is None; the monomials are visited degree
+    by degree in ``combinations_with_replacement`` order.
+    """
+    terms = {}
+    for deg in degrees:
+        for vs in combinations_with_replacement(range(nvars), deg):
+            if rng.random() < density:
+                c = random_rational(rng, rng.random() < 0.3 if dense is None else dense)
+                terms[tuple(vs.count(v) for v in range(nvars))] = c
+    return Polynomial(nvars, terms)
+
+
 def random_couplings(rng: random.Random, n: int, d: int,
                      quadratic_free: bool = False, density: float = 0.5) -> CouplingTensor:
-    """Random normalized-system couplings with pool-valued entries."""
+    """Random normalized-system couplings, drawn degree by degree and component by component."""
     entries = {}
-    lo = 3 if quadratic_free else 2
-    for k in range(lo, d + 1):
+    for k in range(3 if quadratic_free else 2, d + 1):
         for i in range(n):
-            for t in combinations_with_replacement(range(n), k):
-                if rng.random() < density:
-                    c = random_rational(rng, dense=rng.random() < 0.3)
-                    if c:
-                        entries[(k, i, t)] = Gaussian(c)
+            for exps, c in random_poly(rng, n, [k], density).terms.items():
+                entries[(k, i, _tuple_of_exps(exps))] = c
     return CouplingTensor(n, d, entries)
 
 
@@ -46,24 +58,8 @@ def random_normalized_system(rng: random.Random, n: int, d: int,
 
 def random_zero_constant_system(rng: random.Random, n: int, d: int) -> PolySystem:
     """Random square system with F(0) = 0 but arbitrary linear part."""
-    comps = []
-    for _ in range(n):
-        terms = {}
-        for deg in range(1, d + 1):
-            for exps in combinations_with_replacement(range(n), deg):
-                e = [0] * n
-                for v in exps:
-                    e[v] += 1
-                if rng.random() < 0.35:
-                    c = random_rational(rng, dense=rng.random() < 0.3)
-                    if c:
-                        terms[tuple(e)] = Gaussian(c)
-        comps.append(Polynomial(n, terms))
+    comps = [random_poly(rng, n, range(1, d + 1), 0.35) for _ in range(n)]
     return PolySystem(comps, nvars=n, degree_bound=d)
-
-
-def _p(expr_terms: dict[tuple, object], nvars: int) -> Polynomial:
-    return Polynomial(nvars, {e: Gaussian.coerce(c) for e, c in expr_terms.items()})
 
 
 def curated_invertible_pairs(d_max: int = 4) -> list[tuple[PolySystem, PolySystem]]:
@@ -82,18 +78,18 @@ def curated_invertible_pairs(d_max: int = 4) -> list[tuple[PolySystem, PolySyste
                 PolySystem([y1 - p, y2]))
 
     ps = [
-        _p({(0, 2): 1}, n),                       # z2^2
-        _p({(0, 3): -1}, n),                      # -z2^3
-        _p({(0, 2): Fraction(1, 2), (0, 3): 1}, n),
-        _p({(0, 4): 2}, n),
-        _p({(0, 1): 3, (0, 2): -1}, n),
+        Polynomial(n, {(0, 2): 1}),               # z2^2
+        Polynomial(n, {(0, 3): -1}),              # -z2^3
+        Polynomial(n, {(0, 2): Fraction(1, 2), (0, 3): 1}),
+        Polynomial(n, {(0, 4): 2}),
+        Polynomial(n, {(0, 1): 3, (0, 2): -1}),
     ]
     for p in ps:
         out.append(shear1(p))
     qs = [
-        _p({(2, 0): 1}, n),                       # z1^2
-        _p({(3, 0): -2}, n),
-        _p({(1, 0): -1, (2, 0): Fraction(1, 3)}, n),
+        Polynomial(n, {(2, 0): 1}),               # z1^2
+        Polynomial(n, {(3, 0): -2}),
+        Polynomial(n, {(1, 0): -1, (2, 0): Fraction(1, 3)}),
     ]
     for q in qs:  # (z1, z2 + q(z1))
         out.append((PolySystem([z1, z2 + q], degree_bound=max(q.degree(), 1)),
@@ -114,8 +110,8 @@ def curated_invertible_pairs(d_max: int = 4) -> list[tuple[PolySystem, PolySyste
         Finv = PolySystem([y1 + l_pow, y2 - l_pow])
         out.append((F, Finv))
     # Mixed-linear-part shear: (2 z1 + z2^2, z2) with inverse ((y1 - y2^2)/2, y2).
-    out.append((PolySystem([z1.scale(2) + _p({(0, 2): 1}, n), z2]),
-                PolySystem([(y1 - _p({(0, 2): 1}, n)).scale(Fraction(1, 2)), y2])))
+    out.append((PolySystem([z1.scale(2) + Polynomial(n, {(0, 2): 1}), z2]),
+                PolySystem([(y1 - Polynomial(n, {(0, 2): 1})).scale(Fraction(1, 2)), y2])))
     # Identity padded to higher declared degree.
     out.append((PolySystem([z1, z2], degree_bound=3), PolySystem([y1, y2])))
     # Composition with the rank-one shear.
@@ -131,7 +127,7 @@ def curated_invertible_pairs(d_max: int = 4) -> list[tuple[PolySystem, PolySyste
         m_pow = (z1 - z2) ** d
         out.append((PolySystem([z1 - m_pow, z2 - m_pow], degree_bound=d),
                     PolySystem([y1 + m_pow, y2 + m_pow])))
-    out.append(shear1(_p({(0, 4): Fraction(1, 3)}, n)))
+    out.append(shear1(Polynomial(n, {(0, 4): Fraction(1, 3)})))
     return out
 
 
@@ -166,19 +162,7 @@ def random_affine_split_system(rng: random.Random, n1: int, n2: int,
     """Square system whose trailing block is affine in z2 with a unimodular
     constant linear part (so the block inverse is closed form)."""
     N = n1 + n2
-    comps = []
-    for _ in range(n1):
-        terms = {}
-        for d in range(1, deg + 1):
-            for exps in combinations_with_replacement(range(N), d):
-                e = [0] * N
-                for v in exps:
-                    e[v] += 1
-                if rng.random() < 0.3:
-                    c = random_rational(rng)
-                    if c:
-                        terms[tuple(e)] = Gaussian(c)
-        comps.append(Polynomial(N, terms))
+    comps = [random_poly(rng, N, range(1, deg + 1), 0.3, dense=False) for _ in range(n1)]
     # Unimodular integer matrix: product of elementary shears of the identity.
     A = [[Fraction(1) if i == j else Fraction(0) for j in range(n2)] for i in range(n2)]
     for _ in range(3):
@@ -188,21 +172,8 @@ def random_affine_split_system(rng: random.Random, n1: int, n2: int,
             for m in range(n2):
                 A[i][m] += f * A[j][m]
     for j in range(n2):
-        terms = {}
-        for i in range(n2):
-            if A[j][i]:
-                e = [0] * N
-                e[n1 + i] = 1
-                terms[tuple(e)] = Gaussian(A[j][i])
+        linear = Polynomial(N, {tuple(int(v == n1 + i) for v in range(N)): A[j][i]
+                                for i in range(n2)})
         # affine tail in z1 only
-        for d in range(0, deg):
-            for exps in combinations_with_replacement(range(n1), d):
-                e = [0] * N
-                for v in exps:
-                    e[v] += 1
-                if sum(e) and rng.random() < 0.4:
-                    c = random_rational(rng)
-                    if c:
-                        terms[tuple(e)] = terms.get(tuple(e), Gaussian(0)) + Gaussian(c)
-        comps.append(Polynomial(N, terms))
+        comps.append(linear + random_poly(rng, n1, range(1, deg), 0.4, dense=False).lift(N))
     return PolySystem(comps, nvars=N, degree_bound=max(deg, 1))

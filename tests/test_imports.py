@@ -1,0 +1,50 @@
+"""No module of polyred imports a name it does not use.
+
+The package re-exports names only from ``__init__.py``, which is skipped.
+An import line marked ``# noqa: F401`` is kept on purpose and is skipped too.
+"""
+
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "polyred"
+
+
+def _names(tree) -> set[str]:
+    return {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+
+
+def unused_imports(path: Path) -> list[str]:
+    text = path.read_text(encoding="utf-8")
+    lines = text.splitlines()
+    tree = ast.parse(text)
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)) and \
+                getattr(node, "module", None) != "__future__" and \
+                "# noqa: F401" not in lines[node.end_lineno - 1]:
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+    used = _names(tree)
+    # a quoted annotation such as -> "Polynomial" names its types in a string
+    for node in ast.walk(tree):
+        notes = [getattr(node, "returns", None), getattr(node, "annotation", None)]
+        for note in filter(None, notes):
+            for const in ast.walk(note):
+                if isinstance(const, ast.Constant) and isinstance(const.value, str):
+                    used |= _names(ast.parse(const.value, mode="eval"))
+    return [f"{path.name}:{line} {name}" for name, line in imported.items() if name not in used]
+
+
+def test_no_unused_imports():
+    modules = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+    assert modules
+    assert [u for p in modules for u in unused_imports(p)] == []
+
+
+def test_the_checker_finds_an_unused_import(tmp_path):
+    mod = tmp_path / "mod.py"
+    mod.write_text("import json\nimport os  # noqa: F401\nfrom math import pi, tau\n\n"
+                   "def f(x: \"list[Sequence]\") -> \"json\":\n"
+                   "    return pi, 'tau'\n", encoding="utf-8")
+    assert unused_imports(mod) == ["mod.py:3 tau"]

@@ -1,8 +1,9 @@
-from fractions import Fraction
+import random
 
 import pytest
 
 from polyred.couplings import CouplingTensor
+from polyred.elimination import build_H, invert_R, restrict_to_leading, split
 from polyred.gaussian import Q
 from polyred.poly import Polynomial, PolySystem
 from polyred.reduction import (
@@ -11,6 +12,7 @@ from polyred.reduction import (
     aux_index,
     h_recovery_check,
     is_in_image_of_phi,
+    phi,
     phi_algebraic,
     phi_qft,
     phi_qft_system,
@@ -21,7 +23,7 @@ from polyred.reduction import (
 )
 from polyred.samples import (
     random_couplings,
-    random_normalized_system,
+    random_rational,
     random_zero_constant_system,
 )
 from polyred.series import compose_poly, formal_inverse_fixed_point
@@ -147,6 +149,98 @@ def test_not_in_image():
     comps2[aux_index(2, 0, 0)] = comps2[aux_index(2, 0, 0)] + P.monomial(
         (0, 2, 0, 0, 0, 0), 1)
     assert not is_in_image_of_phi(PolySystem(comps2, nvars=6), 2, ALGEBRAIC).in_image
+
+
+def test_image_of_a_degree_two_preimage_is_refused():
+    # (z1 - z1 z2, z2 - z1) recovers the candidate z1 - z1^2, which phi_qft rejects
+    z1, z2 = P.variable(0, 2), P.variable(1, 2)
+    chk = is_in_image_of_phi(PolySystem([z1 - z1 * z2, z2 - z1]), 1, QFT)
+    assert not chk.in_image and chk.preimage is None
+    assert "quadratic" in chk.detail
+
+
+def test_constant_auxiliary_residue_is_not_an_image():
+    # (z1 - z1 z2, z2 - 1) recovers a candidate with zero linear part
+    z1, z2 = P.variable(0, 2), P.variable(1, 2)
+    for variant in (ALGEBRAIC, QFT):
+        assert not is_in_image_of_phi(PolySystem([z1 - z1 * z2, z2 - 1]), 1, variant).in_image
+
+
+def test_unknown_variant_is_an_error():
+    z1, z2 = P.variable(0, 2), P.variable(1, 2)
+    F = PolySystem([z1 - z2 ** 3, z2], degree_bound=3)
+    for call in (phi, verify_theorem_main, h_recovery_check, transport_determinant_check):
+        with pytest.raises(ValueError, match="unknown variant"):
+            call(F, "algebriac")
+    with pytest.raises(ValueError, match="unknown variant"):
+        is_in_image_of_phi(phi(F, ALGEBRAIC).system, 2, "algebriac")
+
+
+def _image_by_elimination(Ft, n, variant):
+    """The preimage of Ft read off H(.; 0) of the elimination, or None if Ft has none.
+
+    An image's auxiliary block is z_aux minus terms in z1 only, and H(.; 0)
+    of an image is its source; the degree bound of a ``qft`` source is
+    either its degree or, without a top coupling, one more.
+    """
+    N = n * (n + 1)
+    for a in range(n, N):
+        if any(any(e[n:]) for e in (P.variable(a, N) - Ft.components[a]).terms):
+            return None
+    sp = split(Ft, n)
+    H0 = restrict_to_leading(build_H(sp, invert_R(sp)), n)
+    for bound in {max(3, H0.degree()), max(3, H0.degree() + 1)}:
+        F = PolySystem(H0.components, nvars=n, degree_bound=bound)
+        try:
+            if phi(F, variant).system == Ft:
+                return F
+        except ValueError:
+            pass
+    return None
+
+
+def _tampered(rng, Ft, n, d):
+    """Two copies of Ft with one extra monomial: in z1 only, then with an auxiliary variable."""
+    N = n * (n + 1)
+    out = []
+    for aux in (False, True):
+        exps = [0] * N
+        for _ in range(rng.randint(0, d - 1)):
+            exps[rng.randrange(N if aux else n)] += 1
+        if aux:
+            exps[rng.randrange(n, N)] += 1
+        c = random_rational(rng) or Q(1)
+        comps = list(Ft.components)
+        k = rng.randrange(N)
+        comps[k] = comps[k] + P.monomial(exps, c)
+        out.append(PolySystem(comps, nvars=N))
+    return out
+
+
+def test_image_membership_matches_elimination():
+    rng = random.Random(8)
+    positives = negatives = 0
+    for _ in range(100):
+        n, d = rng.choice((1, 2)), rng.choice((3, 4, 5))
+        sources = [(ALGEBRAIC, random_zero_constant_system(rng, n, d)),
+                   (QFT, random_couplings(rng, n, d, quadratic_free=True).to_system(d))]
+        for variant, F in sources:
+            Ft = phi(F, variant).system
+            chk = is_in_image_of_phi(Ft, n, variant)
+            assert chk.in_image and chk.preimage == F
+            for G in [Ft] + _tampered(rng, Ft, n, d):
+                for name in (ALGEBRAIC, QFT):
+                    chk = is_in_image_of_phi(G, n, name)
+                    truth = _image_by_elimination(G, n, name)
+                    assert chk.in_image == (truth is not None), (name, str(G))
+                    if chk.in_image:
+                        assert chk.preimage == truth
+                        assert phi(chk.preimage, name).system == G
+                        positives += 1
+                    else:
+                        assert chk.preimage is None
+                        negatives += 1
+    assert positives > 200 and negatives > 800  # some tampered copies stay images
 
 
 def test_h_recovery_both_variants(rng):
