@@ -24,6 +24,10 @@ CASES = [
     ("partial0_undetermined", "check-partial member.json --n1 0 --cap 2", 1),
     ("partial0_tame43", "check-partial tame43.json --n1 0", 0),
     ("partial1_member", "check-partial block3.json --n1 1", 0),
+    ("partial0_lin_member", "check-partial member.json --n1 0 --lin", 0),
+    ("partial0_lin_tame43", "check-partial tame43.json --n1 0 --lin", 0),
+    ("partial1_lin_member", "check-partial block3.json --n1 1 --lin", 0),
+    ("partial1_lin_nonmember", "check-partial nonmember.json --n1 1 --lin", 1),
     ("eliminate1", "eliminate block3.json --n1 1", 0),
     ("eliminate0", "eliminate member.json --n1 0", 0),
 ]
