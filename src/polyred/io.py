@@ -4,19 +4,23 @@ System files: {"version": 1, "nvars": n, "degree_bound": d, "components":
 [polynomial...], "provenance": {...}?}.  A polynomial is {"nvars": n,
 "terms": [{"exp": [e1..en], "re": "p/q", "im": "p/q"}]} with terms in
 descending graded-lex order and rationals rendered by Fraction's string form
-("3", "-1/2").  Emission is canonical, so parse followed by emit reproduces a
-canonical file byte for byte.
+("3", "-1/2"); input rationals must match [+-]?digits(/digits)?.  Emission
+is canonical, so parse followed by emit reproduces a canonical file byte for
+byte.
 """
 
 from __future__ import annotations
 
 import json
+import re
 from fractions import Fraction
 
 from .gaussian import Gaussian
 from .poly import Polynomial, PolySystem
 
 SCHEMA_VERSION = 1
+# Only this form: Fraction() also parses exponents, and "1e10000000" takes seconds.
+_RATIONAL = re.compile(r"[+-]?\d+(/\d+)?", re.ASCII)
 
 
 class SchemaError(ValueError):
@@ -31,6 +35,8 @@ def _is_count(x) -> bool:
 def _fraction_from_string(s, path: str) -> Fraction:
     if not isinstance(s, str):
         raise SchemaError(f"{path}: expected a rational string, got {type(s).__name__}")
+    if not _RATIONAL.fullmatch(s):
+        raise SchemaError(f"{path}: expected a rational of the form p or p/q, got {s[:40]!r}")
     try:
         return Fraction(s)
     except (ValueError, ZeroDivisionError) as exc:

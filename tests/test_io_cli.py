@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -245,6 +246,19 @@ def test_cli_usage_and_io_errors(capsys):
     assert main(["check-jlin", "/nonexistent/x.json"]) == 2
     assert main(["no-such-command"]) == 2
     assert main([]) == 2
+
+
+@pytest.mark.parametrize("text", ["1e10000000", "0.5", " 3", "1_000", "inf"])
+def test_cli_rejects_rationals_outside_the_documented_form(text, tmp_path, capsys):
+    # Fraction() would parse these; an exponent literal alone can take seconds
+    obj = system_to_dict(PolySystem.identity(1))
+    obj["components"][0]["terms"][0]["re"] = text
+    path = tmp_path / "exponent.json"
+    path.write_text(json.dumps(obj))
+    start = time.perf_counter()
+    assert main(["check-jlin", str(path)]) == 2
+    assert time.perf_counter() - start < 1.0
+    assert capsys.readouterr().out == ""
 
 
 def test_cli_rejects_deeply_nested_json(tmp_path, capsys):
