@@ -15,11 +15,11 @@ from .elimination import (
     SplitSystem,
     assemble_inverse,
     build_H,
+    elimination_variety,
     invert_H_parametrized,
     invert_R,
     is_j_partial,
     is_jlin_partial,
-    restrict_to_leading,
     schur_identity_check,
     split,
 )
@@ -44,13 +44,14 @@ from .jacobian import (
     LinearPartError,
     MembershipVerdict,
     PolyMatrix,
+    block_jacobian,
     certify_polynomial_inverse,
     classical_degree_cap,
     drop_degree_zero,
     is_jlin,
     jacobian_matrix,
 )
-from .poly import Polynomial, PolySystem, exact_div
+from .poly import Polynomial, PolySystem, compose_many, exact_div
 from .reduction import (
     ALGEBRAIC,
     QFT,

@@ -142,8 +142,7 @@ def _cmd_check_partial(args) -> tuple[dict, int]:
 def _cmd_eliminate(args) -> tuple[dict, int]:
     F, _ = read_system(args.system)
     sp = split(F, args.n1)
-    R = PolySystem(list(sp.r_components), nvars=sp.N) if sp.n2 else \
-        PolySystem([], nvars=sp.N)
+    R = PolySystem(list(sp.r_components), nvars=sp.N)
     try:
         rinv = invert_R(sp, cap=args.cap)
     except BlockNotInvertibleError as err:

@@ -43,7 +43,8 @@ def distinct_orderings(t: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
     return iter(set(permutations(t)))
 
 
-def _tuple_of_exps(exps: tuple[int, ...]) -> tuple[int, ...]:
+def tuple_of_exps(exps: tuple[int, ...]) -> tuple[int, ...]:
+    """The sorted index tuple of a monomial: (2, 0, 1) gives (0, 0, 2)."""
     out = []
     for i, e in enumerate(exps):
         out.extend([i] * e)
@@ -109,7 +110,7 @@ class CouplingTensor:
                 k = sum(exps)
                 if k <= 1:
                     continue
-                entries[(k, i, _tuple_of_exps(exps))] = -c
+                entries[(k, i, tuple_of_exps(exps))] = -c
         return CouplingTensor(n, d, entries)
 
     def to_system(self, degree_bound: int | None = None) -> PolySystem:

@@ -38,11 +38,12 @@ from .jacobian import (
     LinearPartError,
     MembershipVerdict,
     PolyMatrix,
+    block_jacobian,
     certify_polynomial_inverse,
     classical_degree_cap,
     jacobian_matrix,
 )
-from .poly import Polynomial, PolySystem
+from .poly import Polynomial, PolySystem, compose_many
 from .series import truncated_block_inverse
 
 
@@ -123,8 +124,7 @@ def invert_trailing_block(comps, nvars: int, start: int, cap: int | None = None)
         return PartialInverse((), True, "certified", "empty block")
 
     # Gate: the block Jacobian determinant must be a nonzero constant.
-    JR = PolyMatrix([[comps[j].partial(start + i) for j in range(nb)] for i in range(nb)])
-    detJR = JR.det()
+    detJR = PolyMatrix(block_jacobian(comps, start)).det()
     if not detJR.is_constant() or detJR.constant_term().is_zero():
         raise BlockNotInvertibleError(
             "block Jacobian determinant is not a nonzero constant "
@@ -170,20 +170,13 @@ def build_H(sp: SplitSystem, rinv: PartialInverse) -> PolySystem:
     if not rinv.certified:
         raise ValueError("build_H needs a certified block inverse")
     targets = [Polynomial.variable(i, sp.N) for i in range(sp.n1)] + list(rinv.components)
-    comps = [p.compose(targets) for p in sp.s1_components]
-    return PolySystem(comps, nvars=sp.N) if comps else PolySystem([], nvars=sp.N)
+    return PolySystem(compose_many(sp.s1_components, targets), nvars=sp.N)
 
 
-def _at_zero_params(q: Polynomial, n1: int) -> Polynomial:
-    """Evaluate a (z1 | y2)-ring polynomial at y2 = 0, living on n1 variables."""
-    targets = [Polynomial.variable(i, n1) for i in range(n1)] + \
-              [Polynomial.zero(n1)] * (q.nvars - n1)
-    return q.compose(targets)
-
-
-def restrict_to_leading(system: PolySystem, n1: int) -> PolySystem:
-    """Set the trailing variables to zero and drop them from the ring."""
-    return PolySystem([_at_zero_params(p, n1) for p in system.components], nvars=n1)
+def elimination_variety(sp: SplitSystem, rinv: PartialInverse) -> list[Polynomial]:
+    """(z1, R^{-1}(0; z1)): the block inverse on the slice y2 = 0, in the n1 leading variables."""
+    z1 = [Polynomial.variable(i, sp.n1) for i in range(sp.n1)]
+    return z1 + compose_many(rinv.components, z1 + [Polynomial.zero(sp.n1)] * sp.n2)
 
 
 def schur_identity_check(sp: SplitSystem, rinv: PartialInverse):
@@ -200,16 +193,12 @@ def schur_identity_check(sp: SplitSystem, rinv: PartialInverse):
     lhs = jacobian_matrix(sp.S).substitute(variety).det()
 
     if n2 > 0:
-        JR = PolyMatrix([[sp.r_components[j].partial(n1 + i) for j in range(n2)]
-                         for i in range(n2)])
-        det_r = JR.substitute(variety).det()
+        det_r = PolyMatrix(block_jacobian(sp.r_components, n1)).substitute(variety).det()
     else:
         det_r = Polynomial.one(N)
 
     if n1 > 0:
-        H = build_H(sp, rinv)
-        JH = PolyMatrix([[H.components[j].partial(i) for j in range(n1)] for i in range(n1)])
-        det_h = JH.det()
+        det_h = PolyMatrix(block_jacobian(build_H(sp, rinv).components, 0)).det()
     else:
         det_h = Polynomial.one(N)
 
@@ -232,27 +221,23 @@ def is_jlin_partial(F: PolySystem, n1: int, cap: int | None = None) -> Membershi
     if not rinv.certified:
         return MembershipVerdict(UNDETERMINED, detail=rinv.detail)
 
-    variety0 = [Polynomial.variable(i, n1) for i in range(n1)] + \
-               [_at_zero_params(q, n1) for q in rinv.components]
+    restricted = jacobian_matrix(F).substitute(elimination_variety(sp, rinv)).det()
+    if not restricted.is_constant():
+        return MembershipVerdict(NON_MEMBER, witness=restricted,
+                                 detail="determinant is non-constant on the elimination variety")
+    c = restricted.constant_term()
     if n1 == 0:
-        # The variety is a single exact point; evaluate the determinant there.
-        point = [q.constant_term() for q in variety0]
-        val = jacobian_matrix(F).det().evaluate(point)
-        if val.is_zero():
-            return MembershipVerdict(NON_MEMBER, witness=val,
-                                     detail="Jacobian determinant vanishes at R^{-1}(0)")
-        return MembershipVerdict(MEMBER, witness=val,
-                                 detail=f"Jacobian determinant at R^{-1}(0) is {val}")
-    restricted = jacobian_matrix(F).substitute(variety0).det()
-    if restricted.is_constant():
-        c = restricted.constant_term()
+        # The variety is the single exact point R^{-1}(0).
         if c.is_zero():
-            return MembershipVerdict(NON_MEMBER, witness=restricted,
-                                     detail="determinant vanishes on the elimination variety")
+            return MembershipVerdict(NON_MEMBER, witness=c,
+                                     detail="Jacobian determinant vanishes at R^{-1}(0)")
         return MembershipVerdict(MEMBER, witness=c,
-                                 detail=f"determinant on the elimination variety is {c}")
-    return MembershipVerdict(NON_MEMBER, witness=restricted,
-                             detail="determinant is non-constant on the elimination variety")
+                                 detail=f"Jacobian determinant at R^{-1}(0) is {c}")
+    if c.is_zero():
+        return MembershipVerdict(NON_MEMBER, witness=restricted,
+                                 detail="determinant vanishes on the elimination variety")
+    return MembershipVerdict(MEMBER, witness=c,
+                             detail=f"determinant on the elimination variety is {c}")
 
 
 def is_j_partial(F: PolySystem, n1: int, cap: int | None = None,
@@ -271,13 +256,12 @@ def is_j_partial(F: PolySystem, n1: int, cap: int | None = None,
     if not rinv.certified:
         return MembershipVerdict(UNDETERMINED, detail=rinv.detail)
 
-    rinv0 = [_at_zero_params(q, n1) for q in rinv.components]
+    variety = elimination_variety(sp, rinv)
     if n1 == 0:
-        P = PolySystem(list(rinv0), nvars=0)
-        return MembershipVerdict(MEMBER, witness=P,
+        return MembershipVerdict(MEMBER, witness=PolySystem(variety, nvars=0),
                                  detail="empty leading block; the block inverse certifies")
 
-    H0 = restrict_to_leading(build_H(sp, rinv), n1)
+    H0 = PolySystem(compose_many(sp.s1_components, variety), nvars=n1)
     try:
         cert = certify_polynomial_inverse(H0, h_cap)
     except LinearPartError:
@@ -291,7 +275,7 @@ def is_j_partial(F: PolySystem, n1: int, cap: int | None = None,
     # F(P(y1)) = (y1, 0) follows by substitution from the two certified
     # inverses: F_1(P) = H0(H0^{-1}) = y1 and F_2(P) = R(R^{-1}(0; .); .) = 0.
     Hinv0 = list(cert.witness.components)
-    P = PolySystem(Hinv0 + [q.compose(Hinv0) for q in rinv0], nvars=n1)
+    P = PolySystem(Hinv0 + compose_many(variety[n1:], Hinv0), nvars=n1)
     return MembershipVerdict(MEMBER, witness=P,
                              detail="restricted inverse certified by exact composition")
 
@@ -311,8 +295,7 @@ def assemble_inverse(sp: SplitSystem, Hinv: PolySystem, rinv: PartialInverse) ->
     if len(Hinv.components) != n1 or Hinv.nvars != N:
         raise ValueError("Hinv must have n1 components in the ambient ring")
     targets = list(Hinv.components) + [Polynomial.variable(n1 + j, N) for j in range(sp.n2)]
-    tail = [q.compose(targets) for q in rinv.components]
-    Sinv = PolySystem(list(Hinv.components) + tail, nvars=N)
+    Sinv = PolySystem(list(Hinv.components) + compose_many(rinv.components, targets), nvars=N)
     fwd = sp.S.after(Sinv)
     if fwd != PolySystem.identity(N):
         raise AssemblyError("assembled inverse failed exact composition", fwd)

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .poly import Polynomial, PolySystem, det
+from .poly import Polynomial, PolySystem, compose_many, det
 # formal_inverse_fixed_point is unused here but stays bound: perfbench's tracer
 # self-test checks that the tracer patches it in this module.
 from .series import LinearPartError, formal_inverse_fixed_point, truncated_block_inverse  # noqa: F401
@@ -67,7 +67,8 @@ class PolyMatrix:
         return self.nrows == self.ncols
 
     def substitute(self, targets: Sequence[Polynomial]) -> "PolyMatrix":
-        return PolyMatrix([[p.compose(targets) for p in row] for row in self.entries])
+        flat = iter(compose_many([p for row in self.entries for p in row], targets))
+        return PolyMatrix([[next(flat) for _ in row] for row in self.entries])
 
     def det(self) -> Polynomial:
         """Exact determinant by the division-free minor expansion :func:`polyred.poly.det`."""
@@ -76,12 +77,17 @@ class PolyMatrix:
         return det(self.entries, Polynomial.zero(self.nvars))
 
 
+def block_jacobian(comps: Sequence[Polynomial], start: int) -> list[list[Polynomial]]:
+    """Square Jacobian block: entry (i, j) = d comps[j] / dz_(start + i)."""
+    n = len(comps)
+    return [[comps[j].partial(start + i) for j in range(n)] for i in range(n)]
+
+
 def jacobian_matrix(F: PolySystem) -> PolyMatrix:
     """Jacobian of a square system; entry (i, j) = dF_j/dz_i."""
     if not F.is_square():
         raise ValueError("Jacobian needs a square system")
-    n = F.nvars
-    return PolyMatrix([[F.components[j].partial(i) for j in range(n)] for i in range(n)])
+    return PolyMatrix(block_jacobian(F.components, 0))
 
 
 def drop_degree_zero(F: PolySystem) -> PolySystem:

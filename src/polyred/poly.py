@@ -231,38 +231,8 @@ class Polynomial:
 
     def compose(self, subs: Sequence["Polynomial"], max_degree: int | None = None,
                 start: int = 0) -> "Polynomial":
-        """Substitute ``subs[i]`` for variable i.  All subs share one ring.
-
-        With ``max_degree`` set, every product is cut as in :meth:`mul`, so the
-        result keeps exactly the terms of degree <= max_degree in the variables
-        from index ``start`` on.
-        """
-        if len(subs) != self.nvars:
-            raise ValueError(f"expected {self.nvars} substitutions, got {len(subs)}")
-        if self.nvars == 0:
-            return Polynomial(0, dict(self.terms))
-        nv = subs[0].nvars
-        for s in subs:
-            if s.nvars != nv:
-                raise ValueError("substitution polynomials live in different rings")
-        # pow_cache[i][e - 1] = subs[i]**e, grown one factor at a time (no recursion,
-        # so exponents in the thousands are fine).
-        pow_cache: list[list[Polynomial]] = [[s] for s in subs]
-
-        def power(i: int, e: int) -> Polynomial:
-            cache = pow_cache[i]
-            while len(cache) < e:
-                cache.append(cache[-1].mul(subs[i], max_degree, start))
-            return cache[e - 1]
-
-        out = Polynomial.zero(nv)
-        for exps, c in self.terms.items():
-            term = Polynomial.constant(c, nv)
-            for i, e in enumerate(exps):
-                if e:
-                    term = term.mul(power(i, e), max_degree, start)
-            out = out + term
-        return out
+        """Substitute ``subs[i]`` for variable i; see :func:`compose_many`."""
+        return compose_many([self], subs, max_degree, start)[0]
 
     def evaluate(self, point: Sequence) -> Gaussian:
         if len(point) != self.nvars:
@@ -356,6 +326,47 @@ class Polynomial:
 
     def __repr__(self):
         return f"<Polynomial {self.to_str()}>"
+
+
+def compose_many(polys: Sequence[Polynomial], subs: Sequence[Polynomial],
+                 max_degree: int | None = None, start: int = 0) -> list[Polynomial]:
+    """Substitute ``subs[i]`` for variable i in each of ``polys``.  All subs share one ring.
+
+    This is the library's one substitution routine: each power subs[i]**e is
+    built once for the whole batch.  With ``max_degree`` set, every product is
+    cut as in :meth:`Polynomial.mul`, so each result keeps exactly the terms of
+    degree <= max_degree in the variables from index ``start`` on.
+    """
+    for p in polys:
+        if p.nvars != len(subs):
+            raise ValueError(f"expected {p.nvars} substitutions, got {len(subs)}")
+    if not subs:
+        return [Polynomial(0, dict(p.terms)) for p in polys]
+    nv = subs[0].nvars
+    for s in subs:
+        if s.nvars != nv:
+            raise ValueError("substitution polynomials live in different rings")
+    # pow_cache[i][e - 1] = subs[i]**e, grown one factor at a time (no recursion,
+    # so exponents in the thousands are fine).
+    pow_cache: list[list[Polynomial]] = [[s] for s in subs]
+
+    def power(i: int, e: int) -> Polynomial:
+        cache = pow_cache[i]
+        while len(cache) < e:
+            cache.append(cache[-1].mul(subs[i], max_degree, start))
+        return cache[e - 1]
+
+    out = []
+    for p in polys:
+        acc = Polynomial.zero(nv)
+        for exps, c in p.terms.items():
+            term = Polynomial.constant(c, nv)
+            for i, e in enumerate(exps):
+                if e:
+                    term = term.mul(power(i, e), max_degree, start)
+            acc = acc + term
+        out.append(acc)
+    return out
 
 
 def det(rows: Sequence[Sequence], zero):
@@ -452,7 +463,7 @@ class PolySystem:
 
     def substitute(self, targets: Sequence[Polynomial]) -> "PolySystem":
         """Componentwise substitution: returns self o targets."""
-        return PolySystem([p.compose(targets) for p in self.components],
+        return PolySystem(compose_many(self.components, targets),
                           nvars=targets[0].nvars if targets else 0)
 
     def after(self, inner: "PolySystem") -> "PolySystem":

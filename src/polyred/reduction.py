@@ -33,7 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .couplings import CouplingTensor, _tuple_of_exps
+from .couplings import CouplingTensor, tuple_of_exps
 from .gaussian import Gaussian, ONE
 from .jacobian import (
     NON_MEMBER,
@@ -45,15 +45,13 @@ from .jacobian import (
     jacobian_matrix,
 )
 from .elimination import (
-    _at_zero_params,
-    build_H,
+    elimination_variety,
     invert_R,
     is_j_partial,
     is_jlin_partial,
-    restrict_to_leading,
     split,
 )
-from .poly import Polynomial, PolySystem
+from .poly import Polynomial, PolySystem, compose_many
 from .series import compose_poly, formal_inverse_fixed_point
 
 ALGEBRAIC = "algebraic"
@@ -161,7 +159,7 @@ def phi_qft(w: CouplingTensor) -> CouplingTensor:
         for j in range(n):
             slice_ij = Wd.partial(j).scale(inv_d)
             for exps, c in slice_ij.terms.items():
-                entries[(d - 1, aux_index(n, i, j), _tuple_of_exps(exps))] = c
+                entries[(d - 1, aux_index(n, i, j), tuple_of_exps(exps))] = c
     return CouplingTensor(N, d - 1, entries)
 
 
@@ -227,23 +225,18 @@ def h_recovery_check(F: PolySystem, variant: str) -> bool:
     """The eliminated system of the image, restricted to y2 = 0, equals F."""
     rs = phi(F, variant)
     sp = split(rs.system, F.nvars)
-    rinv = invert_R(sp)
-    H0 = restrict_to_leading(build_H(sp, rinv), F.nvars)
-    return list(H0.components) == list(F.components)
+    H0 = compose_many(sp.s1_components, elimination_variety(sp, invert_R(sp)))
+    return H0 == list(F.components)
 
 
 def transport_determinant_check(F: PolySystem, variant: str) -> dict:
-    """det J of the image on the elimination variety vs det J_F; factor recorded."""
-    n = F.nvars
+    """det J of the image on the elimination variety vs det J_F."""
     rs = phi(F, variant)
-    sp = split(rs.system, n)
-    rinv = invert_R(sp)
-    variety0 = [Polynomial.variable(i, n) for i in range(n)] + \
-               [_at_zero_params(q, n) for q in rinv.components]
-    det_img = jacobian_matrix(rs.system).substitute(variety0).det()
+    sp = split(rs.system, F.nvars)
+    variety = elimination_variety(sp, invert_R(sp))
+    det_img = jacobian_matrix(rs.system).substitute(variety).det()
     det_src = jacobian_matrix(F).det()
-    return {"equal": det_img == det_src, "constant_factor": "1",
-            "variant": variant}
+    return {"equal": det_img == det_src, "variant": variant}
 
 
 def verify_theorem_main(F: PolySystem, variant: str,

@@ -10,7 +10,7 @@ import random
 from fractions import Fraction
 from itertools import combinations_with_replacement
 
-from .couplings import CouplingTensor, _tuple_of_exps
+from .couplings import CouplingTensor, tuple_of_exps
 from .poly import Polynomial, PolySystem
 
 _POOL = [Fraction(0), Fraction(1), Fraction(-1), Fraction(1, 2),
@@ -47,7 +47,7 @@ def random_couplings(rng: random.Random, n: int, d: int,
     for k in range(3 if quadratic_free else 2, d + 1):
         for i in range(n):
             for exps, c in random_poly(rng, n, [k], density).terms.items():
-                entries[(k, i, _tuple_of_exps(exps))] = c
+                entries[(k, i, tuple_of_exps(exps))] = c
     return CouplingTensor(n, d, entries)
 
 

@@ -34,7 +34,7 @@ from typing import Iterator, Sequence
 
 from .couplings import CouplingTensor, distinct_orderings
 from .gaussian import Gaussian
-from .poly import Polynomial, det
+from .poly import Polynomial, compose_many, det
 
 
 class GradedPoly:
@@ -149,7 +149,7 @@ def compose_poly(p: Polynomial, args: Sequence[GradedPoly], order: int) -> Grade
     if not args:
         return GradedPoly.of_poly(Polynomial.constant(p.constant_term(), 0), order)
     nv = args[0].nvars
-    return GradedPoly(order, nv, p.compose([a.poly for a in args], order, nv))
+    return GradedPoly(order, nv, compose_many([p], [a.poly for a in args], order, nv)[0])
 
 
 class GradedSeriesVector:
@@ -252,8 +252,7 @@ def truncated_fixed_point(W: Sequence[Polynomial], nvars: int, start: int,
     params = [Polynomial.variable(i, nvars) for i in range(start)]
     Q = y
     for t in range(1, cap):
-        targets = params + Q
-        Q = [yj + wj.compose(targets, t + 1, start) for yj, wj in zip(y, W)]
+        Q = [yj + wj for yj, wj in zip(y, compose_many(W, params + Q, t + 1, start))]
     return Q
 
 
@@ -299,8 +298,8 @@ def truncated_block_inverse(comps: Sequence[Polynomial], nvars: int, start: int,
         Q, P = y, undo[start:]
     else:
         Q = truncated_fixed_point([-wj for wj in a_inv_applied(higher)], nvars, start, cap)
-        P = [q.compose(undo) for q in Q]
-    return Q, P, [r.compose(params + P) for r in comps] == y
+        P = compose_many(Q, undo)
+    return Q, P, compose_many(comps, params + P) == y
 
 
 def formal_inverse_fixed_point(w: CouplingTensor, order: int,
@@ -327,11 +326,9 @@ def formal_inverse_fixed_point(w: CouplingTensor, order: int,
          for i in range(n)]
     Q = truncated_fixed_point(W, n, 0, order + 1)
     # Tag each degree-(r + 1) term of Q with theta^r, then substitute the source.
+    tagged = [Polynomial(n + 1, {e + (sum(e) - 1,): c for e, c in q.terms.items()}) for q in Q]
     lifted = [s.lift(nv + 1) for s in source] + [Polynomial.variable(nv, nv + 1)]
-    return GradedSeriesVector([
-        GradedPoly(order, nv, Polynomial(n + 1, {e + (sum(e) - 1,): c
-                                                 for e, c in q.terms.items()}).compose(lifted))
-        for q in Q])
+    return GradedSeriesVector([GradedPoly(order, nv, g) for g in compose_many(tagged, lifted)])
 
 
 def inversion_defect(w: CouplingTensor, G: GradedSeriesVector,

@@ -7,12 +7,12 @@ from polyred.elimination import (
     BlockNotInvertibleError,
     assemble_inverse,
     build_H,
+    elimination_variety,
     invert_H_parametrized,
     invert_R,
     invert_trailing_block,
     is_j_partial,
     is_jlin_partial,
-    restrict_to_leading,
     schur_identity_check,
     split,
 )
@@ -154,11 +154,15 @@ def test_build_H_needs_certified():
         build_H(sp, rinv)
 
 
-def test_restrict_to_leading():
-    S = PolySystem([z(0) + z(1), z(1)])
-    H0 = restrict_to_leading(PolySystem([z(0) + z(1)], nvars=2), 1)
-    assert list(H0.components) == [P.variable(0, 1)]
-    assert H0.nvars == 1
+def test_elimination_variety():
+    # R = z2 - z1^2 has R^{-1}(y2; z1) = y2 + z1^2, so the slice y2 = 0 is (z1, z1^2)
+    S = PolySystem([z(0) + z(1), z(1) - z(0) ** 2])
+    sp = split(S, 1)
+    u = P.variable(0, 1)
+    assert elimination_variety(sp, invert_R(sp)) == [u, u ** 2]
+    # no leading block: the variety is the single point R^{-1}(0)
+    sp0 = split(PolySystem([z(0) + 2, z(1) - z(0) ** 2]), 0)
+    assert elimination_variety(sp0, invert_R(sp0)) == [P.constant(-2, 0), P.constant(4, 0)]
 
 
 def test_schur_identity_upper_triangular():

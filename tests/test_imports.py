@@ -1,7 +1,10 @@
-"""No module of polyred imports a name it does not use.
+"""No module of polyred imports a name it does not use, or a private name.
 
 The package re-exports names only from ``__init__.py``, which is skipped.
 An import line marked ``# noqa: F401`` is kept on purpose and is skipped too.
+Outside ``poly.py`` no comprehension substitutes one polynomial at a time:
+a batch of substitutions goes through ``poly.compose_many``, which shares
+one power cache over the batch.
 """
 
 import ast
@@ -36,6 +39,22 @@ def unused_imports(path: Path) -> list[str]:
     return [f"{path.name}:{line} {name}" for name, line in imported.items() if name not in used]
 
 
+def private_imports(path: Path) -> list[str]:
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    return [f"{path.name}:{node.lineno} {alias.name}" for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) for alias in node.names
+            if alias.name.startswith("_")]
+
+
+def compose_comprehensions(path: Path) -> list[str]:
+    """Comprehensions whose element calls ``.compose(...)``."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    return [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+            if isinstance(node, (ast.ListComp, ast.SetComp, ast.GeneratorExp))
+            and any(isinstance(call, ast.Call) and isinstance(call.func, ast.Attribute)
+                    and call.func.attr == "compose" for call in ast.walk(node.elt))]
+
+
 def test_no_unused_imports():
     modules = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
     assert modules
@@ -48,3 +67,24 @@ def test_the_checker_finds_an_unused_import(tmp_path):
                    "def f(x: \"list[Sequence]\") -> \"json\":\n"
                    "    return pi, 'tau'\n", encoding="utf-8")
     assert unused_imports(mod) == ["mod.py:3 tau"]
+
+
+def test_no_private_imports():
+    assert [u for p in sorted(SRC.glob("*.py")) for u in private_imports(p)] == []
+
+
+def test_substitutions_go_through_compose_many():
+    modules = sorted(p for p in SRC.glob("*.py") if p.name != "poly.py")
+    assert [c for p in modules for c in compose_comprehensions(p)] == []
+
+
+def test_the_checkers_find_private_imports_and_compose_loops(tmp_path):
+    mod = tmp_path / "mod.py"
+    mod.write_text("from .poly import _cache, compose_many\n"
+                   "a = [p.compose(t) for p in ps]\n"
+                   "b = sum(x + q.compose(t, 2) for q in qs)\n"
+                   "c = {p.compose(t) for p in ps}\n"
+                   "d = compose_many(ps, t)\n"
+                   "e = p.compose(t)\n", encoding="utf-8")
+    assert private_imports(mod) == ["mod.py:1 _cache"]
+    assert sorted(compose_comprehensions(mod)) == ["mod.py:2", "mod.py:3", "mod.py:4"]
