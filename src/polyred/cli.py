@@ -342,6 +342,10 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
+    except (MemoryError, RecursionError) as exc:
+        # an input too large or too deeply nested for this process is refused, not a crash
+        sys.stderr.write(f"error: {type(exc).__name__}: {str(exc) or 'input too large'}\n")
+        return 2
     return code
 
 

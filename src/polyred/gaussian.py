@@ -8,6 +8,11 @@ Every operation works on ints and restores the invariant with one
 are read as ``fractions.Fraction`` through the ``re`` and ``im`` properties.
 Every operation is exact; division by zero raises, it never produces a value.
 
+Outside this class, one function reads the raw triple: the polynomial product
+kernel ``polyred.poly._add_product`` (behind ``Polynomial.mul`` and
+``compose_many``).  It sums products as unnormalised triples and hands each
+result back through ``Gaussian(a, b, d)``, which restores the canonical form.
+
 Values are immutable and hashable, safe to share across threads.
 """
 

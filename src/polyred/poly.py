@@ -7,15 +7,28 @@ lexicographic: total degree first, ties broken lexicographically on the
 exponent tuple.  Printing and serialization list terms in descending
 graded-lex order, which makes output deterministic.
 
+Every product of two polynomials runs through one kernel,
+:func:`_add_product`, reached by :meth:`Polynomial.mul` and
+:func:`compose_many`.  It works on the coefficients' raw int triples
+(a, b, d): each product and each running sum stays an unnormalised triple,
+each output term is normalised to a canonical ``Gaussian`` once, and a sum
+that cancels to zero is dropped then, so no zero coefficient is ever stored.
+
 All values are treated as immutable after construction; operations are pure
 functions and safe to share across threads.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
+from math import gcd
+from operator import add
 from typing import Iterable, Mapping, Sequence
 
 from .gaussian import Gaussian, ZERO, ONE
+
+# Scalars that a polynomial accepts as an operand: they coerce to a constant.
+_SCALARS = (int, Fraction, Gaussian)
 
 
 def grlex_key(exps: tuple) -> tuple:
@@ -47,6 +60,14 @@ class Polynomial:
         self.terms = clean
 
     # -- constructors ----------------------------------------------------
+
+    @staticmethod
+    def _of(nvars: int, terms: dict[tuple, Gaussian]) -> "Polynomial":
+        """Wrap ``terms``, already canonical (no zero coefficient), without checks."""
+        p = Polynomial.__new__(Polynomial)
+        p.nvars = nvars
+        p.terms = terms
+        return p
 
     @staticmethod
     def zero(nvars: int) -> "Polynomial":
@@ -107,10 +128,20 @@ class Polynomial:
         if self.nvars != other.nvars:
             raise ValueError(f"variable-count mismatch: {self.nvars} vs {other.nvars}")
 
+    def _operand(self, other) -> "Polynomial | None":
+        """``other`` as a polynomial in this ring; None if it is neither a
+        polynomial nor a scalar."""
+        if isinstance(other, Polynomial):
+            self._check_same_ring(other)
+            return other
+        if isinstance(other, _SCALARS):
+            return Polynomial.constant(other, self.nvars)
+        return None
+
     def __add__(self, other):
-        if isinstance(other, (int, Gaussian)):
-            other = Polynomial.constant(other, self.nvars)
-        self._check_same_ring(other)
+        other = self._operand(other)
+        if other is None:
+            return NotImplemented
         out = dict(self.terms)
         for exps, c in other.terms.items():
             s = out.get(exps, ZERO) + c
@@ -118,72 +149,52 @@ class Polynomial:
                 out.pop(exps, None)
             else:
                 out[exps] = s
-        p = Polynomial.__new__(Polynomial)
-        p.nvars = self.nvars
-        p.terms = out
-        return p
+        return Polynomial._of(self.nvars, out)
 
     __radd__ = __add__
 
     def __neg__(self):
-        p = Polynomial.__new__(Polynomial)
-        p.nvars = self.nvars
-        p.terms = {e: -c for e, c in self.terms.items()}
-        return p
+        return Polynomial._of(self.nvars, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
-        if isinstance(other, (int, Gaussian)):
-            other = Polynomial.constant(other, self.nvars)
+        other = self._operand(other)
+        if other is None:
+            return NotImplemented
         return self + (-other)
 
     def __rsub__(self, other):
+        other = self._operand(other)
+        if other is None:
+            return NotImplemented
         return (-self) + other
 
     def scale(self, c) -> "Polynomial":
         c = Gaussian.coerce(c)
         if c.is_zero():
             return Polynomial.zero(self.nvars)
-        p = Polynomial.__new__(Polynomial)
-        p.nvars = self.nvars
-        p.terms = {e: v * c for e, v in self.terms.items()}
-        return p
+        return Polynomial._of(self.nvars, {e: v * c for e, v in self.terms.items()})
 
     def __mul__(self, other):
-        if isinstance(other, (int, Gaussian)):
+        if isinstance(other, _SCALARS):
             return self.scale(other)
-        return self.mul(other)
+        if isinstance(other, Polynomial):
+            return self.mul(other)
+        return NotImplemented
 
     __rmul__ = __mul__
 
     def mul(self, other: "Polynomial", max_degree: int | None = None,
             start: int = 0) -> "Polynomial":
         """Exact product; with ``max_degree`` set, drops the terms whose degree in
-        the variables from index ``start`` on exceeds it."""
+        the variables from index ``start`` on exceeds it.
+
+        One pass of :func:`_add_product`: every term pair's product and every
+        running sum is an unnormalised int triple, each output term becomes a
+        canonical ``Gaussian`` once, and sums that cancel to zero are dropped.
+        """
         self._check_same_ring(other)
-        out: dict[tuple, Gaussian] = {}
-        if max_degree is not None:
-            degree = {e2: sum(e2[start:]) for e2 in other.terms}
-        for e1, c1 in self.terms.items():
-            if max_degree is not None:
-                room = max_degree - sum(e1[start:])
-            for e2, c2 in other.terms.items():
-                if max_degree is not None and degree[e2] > room:
-                    continue
-                e = tuple(a + b for a, b in zip(e1, e2))
-                prod = c1 * c2
-                s = out.get(e)
-                if s is None:
-                    out[e] = prod
-                else:
-                    s = s + prod
-                    if s.is_zero():
-                        del out[e]
-                    else:
-                        out[e] = s
-        p = Polynomial.__new__(Polynomial)
-        p.nvars = self.nvars
-        p.terms = out
-        return p
+        return Polynomial._of(self.nvars, _canonical(
+            _add_product({}, self.terms, other.terms, max_degree, start)))
 
     def __pow__(self, n: int):
         if n < 0:
@@ -198,7 +209,7 @@ class Polynomial:
         return out
 
     def __eq__(self, other):
-        if isinstance(other, (int, Gaussian)):
+        if isinstance(other, _SCALARS):
             other = Polynomial.constant(other, self.nvars)
         if not isinstance(other, Polynomial):
             return NotImplemented
@@ -328,6 +339,55 @@ class Polynomial:
         return f"<Polynomial {self.to_str()}>"
 
 
+def _add_product(acc: dict, lhs: Mapping[tuple, Gaussian], rhs: Mapping[tuple, Gaussian],
+                 max_degree: int | None, start: int) -> dict:
+    """Add the product lhs * rhs of two term maps into ``acc``; return ``acc``.
+
+    This is the library's one product kernel.  ``acc`` maps a monomial to an
+    unnormalised int triple (a, b, d) standing for (a + b*i)/d with d > 0.
+    Each coefficient's triple is read once per call, each term pair's product
+    is formed on ints, and a sum over equal denominators adds numerators; over
+    unequal ones it is taken at their lcm.  :func:`_canonical` turns ``acc``
+    into canonical coefficients.  With ``max_degree`` set, term pairs whose
+    degree in the variables from index ``start`` on exceeds it are skipped.
+    """
+    cut = max_degree is not None
+    right = [(e2, c._a, c._b, c._d, sum(e2[start:]) if cut else 0)
+             for e2, c in rhs.items()]
+    get = acc.get
+    for e1, c1 in lhs.items():
+        a1, b1, d1 = c1._a, c1._b, c1._d
+        room = max_degree - sum(e1[start:]) if cut else 0
+        for e2, a2, b2, d2, degree in right:
+            if degree > room:
+                continue
+            e = tuple(map(add, e1, e2))
+            if not b1:
+                a, b = a1 * a2, a1 * b2
+            elif not b2:
+                a, b = a1 * a2, b1 * a2
+            else:
+                a, b = a1 * a2 - b1 * b2, a1 * b2 + b1 * a2
+            d = d1 * d2
+            s = get(e)
+            if s is None:
+                acc[e] = (a, b, d)
+                continue
+            sa, sb, sd = s
+            if sd == d:
+                acc[e] = (sa + a, sb + b, d)
+            else:
+                g = gcd(sd, d)
+                m, n = d // g, sd // g
+                acc[e] = (sa * m + a * n, sb * m + b * n, sd * m)
+    return acc
+
+
+def _canonical(acc: dict) -> dict[tuple, Gaussian]:
+    """The canonical coefficients of an :func:`_add_product` accumulator, zeros dropped."""
+    return {e: Gaussian(a, b, d) for e, (a, b, d) in acc.items() if a or b}
+
+
 def compose_many(polys: Sequence[Polynomial], subs: Sequence[Polynomial],
                  max_degree: int | None = None, start: int = 0) -> list[Polynomial]:
     """Substitute ``subs[i]`` for variable i in each of ``polys``.  All subs share one ring.
@@ -335,7 +395,13 @@ def compose_many(polys: Sequence[Polynomial], subs: Sequence[Polynomial],
     This is the library's one substitution routine: each power subs[i]**e is
     built once for the whole batch.  With ``max_degree`` set, every product is
     cut as in :meth:`Polynomial.mul`, so each result keeps exactly the terms of
-    degree <= max_degree in the variables from index ``start`` on.
+    degree <= max_degree in the variables from index ``start`` on; a constant
+    term involves no product and is always kept.  A term c * z^e is the chain
+    of products P1 * {0: c} * P2 * ... * Pk over its powers Pj, with the
+    one-term map of c on the right, so that it is the short operand whose
+    triples the kernel reads per call.  The last product of each chain is
+    added straight into the result's accumulator, so each result is summed
+    in place and normalised once.
     """
     for p in polys:
         if p.nvars != len(subs):
@@ -356,16 +422,20 @@ def compose_many(polys: Sequence[Polynomial], subs: Sequence[Polynomial],
             cache.append(cache[-1].mul(subs[i], max_degree, start))
         return cache[e - 1]
 
+    origin = (0,) * nv
+    unit = {origin: ONE}
     out = []
     for p in polys:
-        acc = Polynomial.zero(nv)
+        acc: dict = {}
         for exps, c in p.terms.items():
-            term = Polynomial.constant(c, nv)
-            for i, e in enumerate(exps):
-                if e:
-                    term = term.mul(power(i, e), max_degree, start)
-            acc = acc + term
-        out.append(acc)
+            factors = [power(i, e).terms for i, e in enumerate(exps) if e]
+            cut = max_degree if factors else None
+            chain = [factors[0], {origin: c}, *factors[1:]] if factors else [unit, {origin: c}]
+            term = chain[0]
+            for f in chain[1:-1]:
+                term = _canonical(_add_product({}, term, f, max_degree, start))
+            _add_product(acc, term, chain[-1], cut, start)
+        out.append(Polynomial._of(nv, _canonical(acc)))
     return out
 
 

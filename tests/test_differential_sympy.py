@@ -4,6 +4,9 @@ The degree-cut product and substitution are what the inversion loop in
 :mod:`polyred.series` is built on; they are checked as the full sympy result
 with the terms of too high degree in the variables from ``start`` on dropped.
 Substitution is checked in batches, since ``compose_many`` shares its powers.
+The product kernel sums on unnormalised int triples, so its tests also merge
+sums over unequal denominators, force cancellations, and check that every
+stored coefficient is nonzero and canonical.
 """
 
 from hypothesis import given, settings, strategies as st
@@ -31,6 +34,13 @@ entries = st.one_of(
 
 polys = st.dictionaries(
     st.tuples(*[st.integers(0, 3)] * NVARS), coefficients, max_size=5,
+).map(lambda terms: Polynomial(NVARS, terms))
+# denominators up to 12 on both parts, so equal monomials meet with unequal denominators
+wide_polys = st.dictionaries(
+    st.tuples(*[st.integers(0, 3)] * NVARS),
+    st.builds(Gaussian, st.fractions(min_value=-3, max_value=3, max_denominator=12),
+              st.fractions(min_value=-2, max_value=2, max_denominator=12)),
+    max_size=6,
 ).map(lambda terms: Polynomial(NVARS, terms))
 # degree cuts: (max_degree, start), or no cut
 cuts = st.one_of(st.just((None, 0)), st.tuples(st.integers(0, 6), st.integers(0, NVARS - 1)))
@@ -95,3 +105,30 @@ def test_compose_matches_sympy(ps, subs, degree_cut):
 @given(polys, st.integers(0, NVARS - 1))
 def test_partial_matches_sympy(p, i):
     assert over_qq_i(to_sympy(p.partial(i))) == over_qq_i(diff(to_sympy(p), GENS[i]))
+
+
+def assert_canonical(p: Polynomial):
+    for c in p.terms.values():
+        assert not c.is_zero()
+        assert Gaussian(c.re, c.im) == c
+
+
+@given(wide_polys, wide_polys, cuts)
+def test_mul_merges_unequal_denominators(p, q, degree_cut):
+    max_degree, start = degree_cut
+    got = p.mul(q, max_degree, start)
+    assert_canonical(got)
+    expected = cut(over_qq_i(to_sympy(p) * to_sympy(q)), max_degree, start)
+    assert over_qq_i(to_sympy(got)) == expected
+
+
+@given(wide_polys, wide_polys, cuts)
+def test_mul_cancels_exactly(p, q, degree_cut):
+    # (p + q)(p - q) = p*p - q*q: the cross terms p*q and -q*p cancel in every sum
+    max_degree, start = degree_cut
+    got = (p + q).mul(p - q, max_degree, start)
+    assert_canonical(got)
+    assert got == p.mul(p, max_degree, start) - q.mul(q, max_degree, start)
+    expected = cut(over_qq_i(to_sympy(p) ** 2 - to_sympy(q) ** 2), max_degree, start)
+    assert over_qq_i(to_sympy(got)) == expected
+    assert (p - p).mul(q).terms == {}

@@ -355,3 +355,19 @@ def test_cli_unwritable_out_is_an_input_error(where, ident_file, tmp_path, capsy
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ")
+
+
+@pytest.mark.parametrize("exc, message", [
+    (MemoryError(), "error: MemoryError: input too large\n"),
+    (RecursionError("maximum recursion depth exceeded"),
+     "error: RecursionError: maximum recursion depth exceeded\n"),
+])
+def test_cli_maps_exhausted_resources_to_exit_2(exc, message, ident_file, monkeypatch, capsys):
+    def exhausted(args):
+        raise exc
+
+    monkeypatch.setattr("polyred.cli._cmd_check_jlin", exhausted)
+    assert main(["check-jlin", ident_file]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == message

@@ -1,10 +1,11 @@
+import operator
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
 from polyred.gaussian import Q
-from polyred.poly import Polynomial, PolySystem, exact_div, grlex_key
+from polyred.poly import Polynomial, PolySystem, compose_many, exact_div, grlex_key
 
 P = Polynomial
 
@@ -40,6 +41,31 @@ def test_ring_mismatch_errors():
         z(0, 2) + z(0, 3)
     with pytest.raises(ValueError):
         z(0, 2) * z(0, 3)
+
+
+def test_fraction_scalars_act_as_constants():
+    half = Fraction(1, 2)
+    p = z(0) + z(1)
+    assert p * half == P(2, {(1, 0): Q(half), (0, 1): Q(half)})
+    assert half * p == p * half
+    assert p + half == p + P.constant(Q(half), 2)
+    assert half + p == p + half
+    assert p - half == p + Fraction(-1, 2)
+    assert half - p == P.constant(half, 2) - p
+    assert P.constant(half, 1) == half
+    assert P.constant(half, 1) != Fraction(1, 3)
+    assert P.zero(1) == Fraction(0)
+
+
+@pytest.mark.parametrize("other", ["x", 1.5, None, [1]])
+def test_non_ring_operands_raise_type_error(other):
+    p = z(0)
+    for op in (operator.add, operator.sub, operator.mul):
+        with pytest.raises(TypeError):
+            op(p, other)
+        with pytest.raises(TypeError):
+            op(other, p)
+    assert p != other
 
 
 def test_simple_products():
@@ -193,3 +219,27 @@ def test_system_basics():
         PolySystem([z(0) ** 3], nvars=2, degree_bound=2)
     with pytest.raises(ValueError):
         PolySystem([], )
+
+
+def test_compose_many_cancelling_batch_stores_no_zero():
+    s = P.variable(0, 1)
+    third = Fraction(1, 3)
+    batch = [z(0) - z(1), z(0) ** 2 - z(0) * z(1),
+             P(2, {(1, 0): Q(third), (0, 1): Q(-third)}) * (z(0) + z(1))]
+    for max_degree in (None, 1, 3):
+        out = compose_many(batch, [s + Q(0, 1), s + Q(0, 1)], max_degree)
+        assert all(r.is_zero() and r.terms == {} for r in out)
+    # a partial cancellation keeps only the nonzero sums
+    [r] = compose_many([z(0) ** 2 - z(1) ** 2 + z(0)], [s + 1, s - 1])
+    assert r == 5 * s + 1 and (2,) not in r.terms
+    assert all(not c.is_zero() for c in r.terms.values())
+
+
+def test_compose_many_keeps_constant_under_cut():
+    c = Q(Fraction(3, 2), -1)
+    s = P.variable(0, 1)
+    for max_degree in (0, 1, 2):
+        assert compose_many([P.constant(c, 2)], [s, s], max_degree) == [P.constant(c, 1)]
+        assert compose_many([P.constant(c, 2) + z(0) ** 3], [s, s], max_degree) == \
+            [P.constant(c, 1)]
+    assert compose_many([P.constant(c, 2)], [s, s], 0, 1) == [P.constant(c, 1)]
