@@ -44,14 +44,13 @@ from .jacobian import (
     LinearPartError,
     MembershipVerdict,
     PolyMatrix,
-    block_jacobian,
     certify_polynomial_inverse,
     classical_degree_cap,
     drop_degree_zero,
     is_jlin,
     jacobian_matrix,
 )
-from .poly import Polynomial, PolySystem, compose_many, exact_div
+from .poly import Polynomial, PolySystem, block_jacobian, compose_many, exact_div
 from .reduction import (
     ALGEBRAIC,
     QFT,

@@ -38,12 +38,11 @@ from .jacobian import (
     LinearPartError,
     MembershipVerdict,
     PolyMatrix,
-    block_jacobian,
     certify_polynomial_inverse,
     classical_degree_cap,
     jacobian_matrix,
 )
-from .poly import Polynomial, PolySystem, compose_many
+from .poly import Polynomial, PolySystem, block_jacobian, compose_many
 from .series import truncated_block_inverse
 
 
@@ -99,7 +98,6 @@ class PartialInverse:
     certified: bool
     status: str  # "certified" | "cap_too_low"
     detail: str = ""
-    witness: Polynomial | None = None
 
 
 def split(S: PolySystem, n1: int) -> SplitSystem:
@@ -162,7 +160,7 @@ def invert_leading_block(comps, nvars: int, n_block: int, cap: int | None = None
     for old, new in enumerate(perm):
         inv_perm[new] = old
     return PartialInverse(tuple(q.permute_vars(inv_perm) for q in out.components),
-                          out.certified, out.status, out.detail, out.witness)
+                          out.certified, out.status, out.detail)
 
 
 def build_H(sp: SplitSystem, rinv: PartialInverse) -> PolySystem:
@@ -240,8 +238,7 @@ def is_jlin_partial(F: PolySystem, n1: int, cap: int | None = None) -> Membershi
                              detail=f"determinant on the elimination variety is {c}")
 
 
-def is_j_partial(F: PolySystem, n1: int, cap: int | None = None,
-                 h_cap: int | None = None) -> MembershipVerdict:
+def is_j_partial(F: PolySystem, n1: int, cap: int | None = None) -> MembershipVerdict:
     """Restricted-inverse test: R invertible for all z1 and H(.; 0) invertible.
 
     On membership the witness is the restricted inverse of F: an n1-variable
@@ -263,7 +260,7 @@ def is_j_partial(F: PolySystem, n1: int, cap: int | None = None,
 
     H0 = PolySystem(compose_many(sp.s1_components, variety), nvars=n1)
     try:
-        cert = certify_polynomial_inverse(H0, h_cap)
+        cert = certify_polynomial_inverse(H0)
     except LinearPartError:
         return MembershipVerdict(
             NON_MEMBER, witness=None,

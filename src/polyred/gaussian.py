@@ -22,8 +22,13 @@ from fractions import Fraction
 from math import gcd, lcm
 
 
+# Types that coerce to an exact rational; an arithmetic operator returns
+# NotImplemented for any other operand, so a polynomial's reflected method runs.
+_EXACT = (int, Fraction, str)
+
+
 def _as_fraction(x) -> Fraction:
-    if isinstance(x, (int, Fraction, str)):
+    if isinstance(x, _EXACT):
         return Fraction(x)
     raise TypeError(f"cannot interpret {x!r} as an exact rational")
 
@@ -90,6 +95,8 @@ class Gaussian:
 
     def __add__(self, other):
         if not isinstance(other, Gaussian):
+            if not isinstance(other, _EXACT):
+                return NotImplemented
             other = Gaussian(other)
         d1, d2 = self._d, other._d
         if d1 == d2:
@@ -103,6 +110,8 @@ class Gaussian:
 
     def __sub__(self, other):
         if not isinstance(other, Gaussian):
+            if not isinstance(other, _EXACT):
+                return NotImplemented
             other = Gaussian(other)
         d1, d2 = self._d, other._d
         if d1 == d2:
@@ -114,6 +123,8 @@ class Gaussian:
 
     def __mul__(self, other):
         if not isinstance(other, Gaussian):
+            if not isinstance(other, _EXACT):
+                return NotImplemented
             other = Gaussian(other)
         a1, b1, a2, b2 = self._a, self._b, other._a, other._b
         if not b1:
@@ -133,6 +144,8 @@ class Gaussian:
 
     def __truediv__(self, other):
         if not isinstance(other, Gaussian):
+            if not isinstance(other, _EXACT):
+                return NotImplemented
             other = Gaussian(other)
         # (a1 + b1 i)/d1 / ((a2 + b2 i)/d2) = d2 (a1 + b1 i)(a2 - b2 i) / (d1 (a2² + b2²))
         a1, b1, a2, b2 = self._a, self._b, other._a, other._b

@@ -3,8 +3,10 @@
 Index convention: the Jacobian of a square system F has entry (i, j) equal to
 dF_j/dz_i -- the row index differentiates, the column index enumerates
 components.  Transposing would leave every determinant unchanged but would
-silently break the block bookkeeping in :mod:`polyred.elimination`, so the
-convention is fixed here and relied on everywhere.
+silently break the block bookkeeping in :mod:`polyred.elimination` and the
+block-linear read-off in :func:`polyred.series.truncated_block_inverse`, so
+the convention is fixed once, in :func:`polyred.poly.block_jacobian` (bound
+here too), and relied on everywhere.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .poly import Polynomial, PolySystem, compose_many, det
+from .poly import Polynomial, PolySystem, block_jacobian, compose_many, det
 # formal_inverse_fixed_point is unused here but stays bound: perfbench's tracer
 # self-test checks that the tracer patches it in this module.
 from .series import LinearPartError, formal_inverse_fixed_point, truncated_block_inverse  # noqa: F401
@@ -75,12 +77,6 @@ class PolyMatrix:
         if not self.is_square():
             raise ValueError("determinant of a non-square matrix")
         return det(self.entries, Polynomial.zero(self.nvars))
-
-
-def block_jacobian(comps: Sequence[Polynomial], start: int) -> list[list[Polynomial]]:
-    """Square Jacobian block: entry (i, j) = d comps[j] / dz_(start + i)."""
-    n = len(comps)
-    return [[comps[j].partial(start + i) for j in range(n)] for i in range(n)]
 
 
 def jacobian_matrix(F: PolySystem) -> PolyMatrix:

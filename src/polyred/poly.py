@@ -14,6 +14,9 @@ Every product of two polynomials runs through one kernel,
 each output term is normalised to a canonical ``Gaussian`` once, and a sum
 that cancels to zero is dropped then, so no zero coefficient is ever stored.
 
+Every Jacobian matrix, or a square block of one, is built by
+:func:`block_jacobian`, and every determinant is taken by :func:`det`.
+
 All values are treated as immutable after construction; operations are pure
 functions and safe to share across threads.
 """
@@ -234,11 +237,12 @@ class Polynomial:
             out[tuple(new)] = c * e
         return Polynomial(self.nvars, out)
 
-    def homogeneous_part(self, c: int) -> "Polynomial":
-        """Sum of the terms of total degree exactly ``c``."""
+    def homogeneous_part(self, c: int, start: int = 0) -> "Polynomial":
+        """Sum of the terms of degree exactly ``c`` in the variables from index ``start`` on."""
         if c < 0:
             raise ValueError("degree must be non-negative")
-        return Polynomial(self.nvars, {e: v for e, v in self.terms.items() if total_degree(e) == c})
+        return Polynomial._of(self.nvars,
+                              {e: v for e, v in self.terms.items() if sum(e[start:]) == c})
 
     def compose(self, subs: Sequence["Polynomial"], max_degree: int | None = None,
                 start: int = 0) -> "Polynomial":
@@ -470,6 +474,16 @@ def det(rows: Sequence[Sequence], zero):
                     grown[key] = acc - term if negative else acc + term
         minors = {cols: m for cols, m in grown.items() if not m.is_zero()}
     return minors.get((1 << n) - 1, zero)
+
+
+def block_jacobian(comps: Sequence[Polynomial], start: int) -> list[list[Polynomial]]:
+    """Square Jacobian block: entry (i, j) = d comps[j] / dz_(start + i).
+
+    The library's one Jacobian routine: the row index differentiates, the
+    column index enumerates components.
+    """
+    n = len(comps)
+    return [[comps[j].partial(start + i) for j in range(n)] for i in range(n)]
 
 
 def exact_div(num: Polynomial, den: Polynomial) -> Polynomial:

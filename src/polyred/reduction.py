@@ -239,8 +239,7 @@ def transport_determinant_check(F: PolySystem, variant: str) -> dict:
     return {"equal": det_img == det_src, "variant": variant}
 
 
-def verify_theorem_main(F: PolySystem, variant: str,
-                        inv_cap: int | None = None) -> dict:
+def verify_theorem_main(F: PolySystem, variant: str) -> dict:
     """Membership transport across the reduction, on one instance.
 
     Compares the constant-determinant test on F with the partial test on the
@@ -252,10 +251,10 @@ def verify_theorem_main(F: PolySystem, variant: str,
     lin_src = is_jlin(F)
     lin_img = is_jlin_partial(rs.system, n)
     try:
-        inv_src = certify_polynomial_inverse(F, inv_cap)
+        inv_src = certify_polynomial_inverse(F)
     except LinearPartError:
         inv_src = MembershipVerdict(NON_MEMBER, detail="singular linear part, no inverse")
-    inv_img = is_j_partial(rs.system, n, h_cap=inv_cap)
+    inv_img = is_j_partial(rs.system, n)
     report = {
         "variant": variant,
         "lin_source": lin_src.verdict,

@@ -21,8 +21,9 @@ The scalar log-partition series ln Z = sum_{r>=1} (1/r) tr((1 - J_F(G))^r)
 and the identity Z * det J_F(G) = 1 are provided on the same grading.
 
 :func:`truncated_block_inverse` normalizes a block system by its
-block-linear part, runs the same loop and certifies the result by one
-forward composition; block inversion in :mod:`polyred.elimination` and
+block-linear part, read off with :func:`polyred.poly.block_jacobian` and
+solved by Cramer's rule through :func:`polyred.poly.det`, runs the same loop
+and certifies the result by one forward composition; block inversion in :mod:`polyred.elimination` and
 invertibility certification in :mod:`polyred.jacobian` both go through it.
 """
 
@@ -34,7 +35,7 @@ from typing import Iterator, Sequence
 
 from .couplings import CouplingTensor, distinct_orderings
 from .gaussian import Gaussian
-from .poly import Polynomial, compose_many, det
+from .poly import Polynomial, block_jacobian, compose_many, det
 
 
 class GradedPoly:
@@ -199,44 +200,6 @@ class LinearPartError(ValueError):
     """The linear part of the system is not invertible."""
 
 
-def _block_linear_decomposition(comps, nvars: int, start: int):
-    """Split each component into block-constant, block-linear and higher parts."""
-    nb = nvars - start
-    b0, higher = [], []
-    A = [[None] * nb for _ in range(len(comps))]
-    for j, p in enumerate(comps):
-        b0_terms, hi_terms = {}, {}
-        cols = [dict() for _ in range(nb)]
-        for exps, c in p.terms.items():
-            bd = sum(exps[start:])
-            if bd == 0:
-                b0_terms[exps] = c
-            elif bd == 1:
-                i = next(idx for idx in range(start, nvars) if exps[idx])
-                cols[i - start][exps[:start] + (0,) * nb] = c
-            else:
-                hi_terms[exps] = c
-        b0.append(Polynomial(nvars, b0_terms))
-        higher.append(Polynomial(nvars, hi_terms))
-        for i in range(nb):
-            A[j][i] = Polynomial(nvars, cols[i])
-    return b0, A, higher
-
-
-def _adjugate(A: list[list[Polynomial]]) -> list[list[Polynomial]]:
-    n = len(A)
-    nvars = A[0][0].nvars
-    if n == 1:
-        return [[Polynomial.one(nvars)]]
-    adj = [[None] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            minor = [[A[r][c] for c in range(n) if c != i] for r in range(n) if r != j]
-            m = det(minor, Polynomial.zero(nvars))
-            adj[i][j] = m if (i + j) % 2 == 0 else -m
-    return adj
-
-
 def truncated_fixed_point(W: Sequence[Polynomial], nvars: int, start: int,
                           cap: int) -> list[Polynomial]:
     """Solve Q = y + W(params, Q) through degree ``cap`` in the block variables.
@@ -261,14 +224,17 @@ def truncated_block_inverse(comps: Sequence[Polynomial], nvars: int, start: int,
     """Candidate inverse of a block system R, truncated at block degree ``cap``, and its check.
 
     R has one component per variable from index ``start`` on; its
-    coefficients are polynomials in the leading ``start`` parameters.  With
-    R = b0 + A z + h (h of block degree >= 2), the block-linear matrix A must
-    have a nonzero constant determinant, so A^{-1} = adj(A) / det A is
-    polynomial.  Then A^{-1}(R - b0) = y - W with W = -A^{-1} h,
-    :func:`truncated_fixed_point` gives its truncated inverse Q, and the
-    candidate P is Q(params, A^{-1}(y - b0)) (an affine R needs no rounds).
-    Returns (Q, P, exact).  Raises :class:`LinearPartError` when det A is not
-    a nonzero constant.
+    coefficients are polynomials in the leading ``start`` parameters.  Write
+    R = b0 + A^T z + h with h of block degree >= 2: b0 is R's block-degree-0
+    part, and A is the block Jacobian of R's block-linear part, so
+    A[i][j] = dR_j/dz_(start+i) at z = 0.  det A must be a nonzero constant,
+    so A^T x = v is solved polynomially by Cramer's rule through
+    :func:`polyred.poly.det`: x_i = (-1)^(nb-1-i) det(A without row i, then v
+    as the last row) / det A.  Then solving A^T x = R - b0 gives y - W with
+    W = -A^{-T} h, :func:`truncated_fixed_point` gives its truncated inverse
+    Q, and the candidate P is Q(params, x) with A^T x = y - b0 (an affine R
+    has W = 0).  Returns (Q, P, exact).  Raises :class:`LinearPartError` when
+    det A is not a nonzero constant.
 
     ``exact`` is the one certification every inverse in the library gets:
     the forward composition R(params, P) == y, identically in (params, y).
@@ -280,25 +246,24 @@ def truncated_block_inverse(comps: Sequence[Polynomial], nvars: int, start: int,
     (params, P).
     """
     nb = nvars - start
-    b0, A, higher = _block_linear_decomposition(comps, nvars, start)
-    detA = det(A, Polynomial.zero(nvars))
+    A = block_jacobian([p.homogeneous_part(1, start) for p in comps], start)
+    b0 = [p.homogeneous_part(0, start) for p in comps]
+    zero = Polynomial.zero(nvars)
+    detA = det(A, zero)
     if not detA.is_constant() or detA.constant_term().is_zero():
         raise LinearPartError("linear part of the system is singular")
     cinv = detA.constant_term().inverse()
-    Ainv = [[a.scale(cinv) for a in row] for row in _adjugate(A)]
 
-    def a_inv_applied(targets):
-        return [sum((Ainv[i][m] * targets[m] for m in range(nb)),
-                    Polynomial.zero(nvars)) for i in range(nb)]
+    def solve(v):
+        # moving row i of A to the bottom takes nb - 1 - i row swaps
+        return [det(A[:i] + A[i + 1:] + [v], zero).scale(cinv if (nb - 1 - i) % 2 == 0 else -cinv)
+                for i in range(nb)]
 
     y = [Polynomial.variable(start + i, nvars) for i in range(nb)]
     params = [Polynomial.variable(i, nvars) for i in range(start)]
-    undo = params + a_inv_applied([yj - b for yj, b in zip(y, b0)])
-    if all(h.is_zero() for h in higher):
-        Q, P = y, undo[start:]
-    else:
-        Q = truncated_fixed_point([-wj for wj in a_inv_applied(higher)], nvars, start, cap)
-        P = compose_many(Q, undo)
+    W = [yi - xi for yi, xi in zip(y, solve([r - b for r, b in zip(comps, b0)]))]
+    Q = truncated_fixed_point(W, nvars, start, cap)
+    P = compose_many(Q, params + solve([yi - b for yi, b in zip(y, b0)]))
     return Q, P, compose_many(comps, params + P) == y
 
 

@@ -10,10 +10,11 @@ stored coefficient is nonzero and canonical.
 """
 
 from hypothesis import given, settings, strategies as st
-from sympy import I, Matrix, Poly, Rational, diff, expand, symbols, sympify
+from sympy import I, Matrix, Poly, Rational, cancel, diff, expand, symbols, sympify
 
 from polyred.gaussian import Gaussian
 from polyred.poly import Polynomial, compose_many, det
+from polyred.series import truncated_block_inverse
 
 NVARS = 2
 GENS = symbols(f"z1:{NVARS + 1}")
@@ -52,11 +53,11 @@ def square_matrices(draw):
     return [[draw(entries) for _ in range(n)] for _ in range(n)]
 
 
-def to_sympy(p: Polynomial):
+def to_sympy(p: Polynomial, gens=GENS):
     out = 0
     for exps, c in p.terms.items():
         mono = 1
-        for g, e in zip(GENS, exps):
+        for g, e in zip(gens, exps, strict=True):
             mono *= g ** e
         out += (Rational(c.re) + I * Rational(c.im)) * mono
     return out
@@ -132,3 +133,40 @@ def test_mul_cancels_exactly(p, q, degree_cut):
     expected = cut(over_qq_i(to_sympy(p) ** 2 - to_sympy(q) ** 2), max_degree, start)
     assert over_qq_i(to_sympy(got)) == expected
     assert (p - p).mul(q).terms == {}
+
+
+@st.composite
+def unimodular_affine_blocks(draw):
+    """(nb, M, b0): M(z1) a product of a constant diagonal and random shears whose
+    multipliers are polynomials in z1, so det M is a nonzero constant; b0 in z1."""
+    nb = draw(st.integers(2, 4))
+    nv = nb + 1
+    in_z1 = st.dictionaries(st.tuples(st.integers(0, 2)), coefficients, max_size=2).map(
+        lambda terms: Polynomial(nv, {e + (0,) * nb: c for e, c in terms.items()}))
+    diagonal = draw(st.lists(coefficients.filter(lambda c: not c.is_zero()),
+                             min_size=nb, max_size=nb))
+    M = [[Polynomial.constant(diagonal[i], nv) if i == j else Polynomial.zero(nv)
+          for j in range(nb)] for i in range(nb)]
+    for _ in range(draw(st.integers(1, 4))):
+        a, b = draw(st.permutations(range(nb)))[:2]
+        m = draw(in_z1)
+        M[a] = [x + m * y for x, y in zip(M[a], M[b])]
+    return nb, M, [draw(in_z1) for _ in range(nb)]
+
+
+@settings(deadline=None, max_examples=40)
+@given(unimodular_affine_blocks(), st.sampled_from([1, 2]))
+def test_affine_block_inverse_matches_sympy(block, cap):
+    # R_j = sum_i M[j][i] z_(1+i) + b0_j, so the block Jacobian is M transposed
+    # and Cramer's rule runs on it; sympy inverts M itself
+    nb, M, b0 = block
+    nv = nb + 1
+    gens = symbols(f"z1:{nv + 1}")
+    z = [Polynomial.variable(1 + i, nv) for i in range(nb)]
+    R = [sum((M[j][i] * z[i] for i in range(nb)), b0[j]) for j in range(nb)]
+    Q, P, exact = truncated_block_inverse(R, nv, 1, cap)
+    assert exact and Q == z
+    target = Matrix([g - to_sympy(b, gens) for g, b in zip(gens[1:], b0)])
+    expected = Matrix([[to_sympy(e, gens) for e in row] for row in M]).inv() * target
+    for p, e in zip(P, expected):
+        assert cancel(to_sympy(p, gens) - e) == 0

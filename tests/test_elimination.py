@@ -18,8 +18,9 @@ from polyred.elimination import (
 )
 from polyred.gaussian import Q
 from polyred.jacobian import MEMBER, NON_MEMBER, certify_polynomial_inverse, is_jlin
-from polyred.poly import Polynomial, PolySystem
+from polyred.poly import Polynomial, PolySystem, block_jacobian, compose_many
 from polyred.samples import curated_invertible_pairs, random_affine_split_system
+from polyred.series import truncated_block_inverse
 
 P = Polynomial
 
@@ -104,6 +105,36 @@ def test_invert_R_nonaffine_certified():
     assert list(rinv.components) == [v[1] + v[2] ** 2, v[2]]
     assert (rinv.status, rinv.detail) == ("certified", "exact block inverse (cap 2)")
     assert_two_sided_block_inverse(S.components[1:], rinv.components, 3, 1)
+
+
+def test_invert_trailing_block_parametric_non_triangular_linear_part():
+    # R = S3 o S2 o S1 o S0 in the block (u, v, w) with parameter s; each step
+    # has a written-down inverse, and A(s) is neither upper nor lower
+    # triangular, so Cramer's rule meets both signs and entries that depend on s.
+    s, u, v, w = (P.variable(i, 4) for i in range(4))
+    c = Q(0, 2)
+
+    def after(outer, inner):
+        return compose_many(outer, [s] + inner)
+
+    S0, S0inv = [u.scale(c), v, w], [u.scale(c.inverse()), v, w]
+    S1, S1inv = [u + s * v, v, w], [u - s * v, v, w]
+    S2, S2inv = [u, v + s * w + u ** 2, w], [u, v - s * w - u ** 2, w]
+    S3, S3inv = [u, v, w + s * u + 1], [u, v, w - s * u - 1]
+    R = after(S3, after(S2, after(S1, S0)))
+    Rinv = after(S0inv, after(S1inv, after(S2inv, S3inv)))
+
+    A = block_jacobian([r.homogeneous_part(1, 1) for r in R], 1)
+    assert any(not A[i][j].is_zero() for i in range(3) for j in range(i))
+    assert any(not A[i][j].is_zero() for i in range(3) for j in range(i + 1, 3))
+    assert any(not A[i][j].is_constant() for i in range(3) for j in range(3))
+
+    rinv = invert_trailing_block(R, 4, 1)
+    assert rinv.certified and rinv.detail == "exact block inverse (cap 4)"
+    assert list(rinv.components) == Rinv
+    assert_two_sided_block_inverse(R, rinv.components, 4, 1)
+    _, P2, exact = truncated_block_inverse(R, 4, 1, 2)
+    assert exact and P2 == Rinv
 
 
 def test_invert_trailing_block_cap_too_low():

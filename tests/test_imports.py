@@ -4,7 +4,9 @@ The package re-exports names only from ``__init__.py``, which is skipped.
 An import line marked ``# noqa: F401`` is kept on purpose and is skipped too.
 Outside ``poly.py`` no comprehension substitutes one polynomial at a time:
 a batch of substitutions goes through ``poly.compose_many``, which shares
-one power cache over the batch.
+one power cache over the batch.  Nor does one differentiate entry by entry:
+a Jacobian matrix, or a square block of one, comes from
+``poly.block_jacobian``.
 """
 
 import ast
@@ -46,13 +48,13 @@ def private_imports(path: Path) -> list[str]:
             if alias.name.startswith("_")]
 
 
-def compose_comprehensions(path: Path) -> list[str]:
-    """Comprehensions whose element calls ``.compose(...)``."""
+def method_comprehensions(path: Path, method: str) -> list[str]:
+    """Comprehensions whose element calls ``.<method>(...)``."""
     tree = ast.parse(path.read_text(encoding="utf-8"))
     return [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
             if isinstance(node, (ast.ListComp, ast.SetComp, ast.GeneratorExp))
             and any(isinstance(call, ast.Call) and isinstance(call.func, ast.Attribute)
-                    and call.func.attr == "compose" for call in ast.walk(node.elt))]
+                    and call.func.attr == method for call in ast.walk(node.elt))]
 
 
 def test_no_unused_imports():
@@ -75,7 +77,12 @@ def test_no_private_imports():
 
 def test_substitutions_go_through_compose_many():
     modules = sorted(p for p in SRC.glob("*.py") if p.name != "poly.py")
-    assert [c for p in modules for c in compose_comprehensions(p)] == []
+    assert [c for p in modules for c in method_comprehensions(p, "compose")] == []
+
+
+def test_jacobians_go_through_block_jacobian():
+    modules = sorted(p for p in SRC.glob("*.py") if p.name != "poly.py")
+    assert [c for p in modules for c in method_comprehensions(p, "partial")] == []
 
 
 def test_the_checkers_find_private_imports_and_compose_loops(tmp_path):
@@ -85,6 +92,9 @@ def test_the_checkers_find_private_imports_and_compose_loops(tmp_path):
                    "b = sum(x + q.compose(t, 2) for q in qs)\n"
                    "c = {p.compose(t) for p in ps}\n"
                    "d = compose_many(ps, t)\n"
-                   "e = p.compose(t)\n", encoding="utf-8")
+                   "e = p.compose(t)\n"
+                   "f = [[F[j].partial(i) for j in r] for i in r]\n"
+                   "g = F[0].partial(1)\n", encoding="utf-8")
     assert private_imports(mod) == ["mod.py:1 _cache"]
-    assert sorted(compose_comprehensions(mod)) == ["mod.py:2", "mod.py:3", "mod.py:4"]
+    assert sorted(method_comprehensions(mod, "compose")) == ["mod.py:2", "mod.py:3", "mod.py:4"]
+    assert sorted(method_comprehensions(mod, "partial")) == ["mod.py:7", "mod.py:7"]

@@ -57,6 +57,15 @@ def test_fraction_scalars_act_as_constants():
     assert P.zero(1) == Fraction(0)
 
 
+def test_gaussian_scalars_act_as_constants_on_either_side():
+    # Gaussian's own operators defer to the polynomial's reflected ones
+    two = Q(2)
+    p = z(0) + z(1)
+    assert two * p == p * two == p.scale(two)
+    assert two + p == p + two == p + P.constant(two, 2)
+    assert two - p == P.constant(two, 2) - p
+
+
 @pytest.mark.parametrize("other", ["x", 1.5, None, [1]])
 def test_non_ring_operands_raise_type_error(other):
     p = z(0)
@@ -144,6 +153,17 @@ def test_homogeneous_parts():
     for c in range(p.degree() + 1):
         total = total + p.homogeneous_part(c)
     assert total == p
+
+
+def test_homogeneous_parts_from_a_start_variable():
+    # degree counted in z2, z3 only: z1 is a parameter
+    q = z(0, 3) ** 2 + z(0, 3) * z(1, 3) + z(2, 3) - z(1, 3) * z(2, 3) + P.one(3)
+    assert q.homogeneous_part(0, 1) == z(0, 3) ** 2 + P.one(3)
+    assert q.homogeneous_part(1, 1) == z(0, 3) * z(1, 3) + z(2, 3)
+    assert q.homogeneous_part(2, 1) == -(z(1, 3) * z(2, 3))
+    assert q.homogeneous_part(3, 1).is_zero()
+    assert q.homogeneous_part(0, 3) == q
+    assert q.homogeneous_part(2) == q.homogeneous_part(2, 0)
 
 
 @given(polys(nvars=3))
