@@ -29,7 +29,6 @@ from .family import (
     closed_form_partial_conditions,
     closed_sum_form,
     corpus_report,
-    equality_jlin_j_partial_check,
     family_system,
     reference_form_deviation,
     reference_form_template,

@@ -7,7 +7,9 @@ R^{-1}(y2; z1) is itself polynomial and the eliminated system
 H(z1; y2) = S_1(z1, R^{-1}(y2; z1)) carries all remaining information:
 
 * determinants factor exactly on the elimination variety,
-  det J_S(z1, R^{-1}(y2; z1)) = det J_R * det J_H (a Schur-complement fact);
+  det J_S(z1, R^{-1}(y2; z1)) = det J_R * det J_H (a Schur-complement fact),
+  so with the constant det J_R of the block gate, the constant-determinant
+  test on the variety is one n1 x n1 determinant of H(.; 0);
 * S has a polynomial inverse on the y2 = 0 slice exactly when H(.; 0) does,
   and then (S^{-1})_1 = H^{-1}, (S^{-1})_2 = R^{-1}(y2; H^{-1}).
 
@@ -31,6 +33,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .gaussian import ONE, Gaussian
 from .jacobian import (
     MEMBER,
     NON_MEMBER,
@@ -97,6 +100,7 @@ class PartialInverse:
     components: tuple[Polynomial, ...]
     certified: bool
     status: str  # "certified" | "cap_too_low"
+    det_jr: Gaussian  # the nonzero constant det J_R that the block gate certified
     detail: str = ""
 
 
@@ -119,11 +123,12 @@ def invert_trailing_block(comps, nvars: int, start: int, cap: int | None = None)
     if len(comps) != nb:
         raise ValueError("component count must match the block size")
     if nb == 0:
-        return PartialInverse((), True, "certified", "empty block")
+        return PartialInverse((), True, "certified", ONE, "empty block")
 
     # Gate: the block Jacobian determinant must be a nonzero constant.
     detJR = PolyMatrix(block_jacobian(comps, start)).det()
-    if not detJR.is_constant() or detJR.constant_term().is_zero():
+    c_r = detJR.constant_term()
+    if not detJR.is_constant() or c_r.is_zero():
         raise BlockNotInvertibleError(
             "block Jacobian determinant is not a nonzero constant "
             "(the block is singular for some parameter value)", detJR)
@@ -133,14 +138,14 @@ def invert_trailing_block(comps, nvars: int, start: int, cap: int | None = None)
     used_cap = bound if cap is None else cap
     _, rinv, exact = truncated_block_inverse(comps, nvars, start, used_cap)
     if exact:
-        return PartialInverse(tuple(rinv), True, "certified",
+        return PartialInverse(tuple(rinv), True, "certified", c_r,
                               f"exact block inverse (cap {used_cap})")
     if used_cap >= bound:
         raise BlockNotInvertibleError(
             f"no polynomial block inverse exists: certification fails at cap {used_cap} "
             f">= d2^(n2-1) = {bound} (imported classical degree bound)",
             detJR)
-    return PartialInverse(tuple(rinv), False, "cap_too_low",
+    return PartialInverse(tuple(rinv), False, "cap_too_low", c_r,
                           f"certification failed at cap {used_cap} < bound {bound}; undetermined")
 
 
@@ -160,7 +165,7 @@ def invert_leading_block(comps, nvars: int, n_block: int, cap: int | None = None
     for old, new in enumerate(perm):
         inv_perm[new] = old
     return PartialInverse(tuple(q.permute_vars(inv_perm) for q in out.components),
-                          out.certified, out.status, out.detail)
+                          out.certified, out.status, out.det_jr, out.detail)
 
 
 def build_H(sp: SplitSystem, rinv: PartialInverse) -> PolySystem:
@@ -204,33 +209,46 @@ def schur_identity_check(sp: SplitSystem, rinv: PartialInverse):
     return diff.is_zero(), diff
 
 
-def _r_failure_verdict(err: BlockNotInvertibleError) -> MembershipVerdict:
-    return MembershipVerdict(NON_MEMBER, witness=err.witness,
-                             detail=f"trailing block not invertible for all parameters: {err}")
+def _eliminated(F: PolySystem, n1: int, cap: int | None):
+    """Front end of both partial classifiers: invert R, then build H(.; 0).
 
-
-def is_jlin_partial(F: PolySystem, n1: int, cap: int | None = None) -> MembershipVerdict:
-    """Constant-determinant test on the elimination variety (z1, R^{-1}(0; z1))."""
+    Returns the verdict when the trailing block already decides (non-member
+    on a non-invertibility witness, undetermined below the degree cap), else
+    (rinv, variety, H0) with H0 = S_1 on the variety, in the n1 leading variables.
+    """
     sp = split(F, n1)
     try:
         rinv = invert_R(sp, cap)
     except BlockNotInvertibleError as err:
-        return _r_failure_verdict(err)
+        return MembershipVerdict(NON_MEMBER, witness=err.witness,
+                                 detail=f"trailing block not invertible for all parameters: {err}")
     if not rinv.certified:
         return MembershipVerdict(UNDETERMINED, detail=rinv.detail)
+    variety = elimination_variety(sp, rinv)
+    return rinv, variety, compose_many(sp.s1_components, variety)
 
-    restricted = jacobian_matrix(F).substitute(elimination_variety(sp, rinv)).det()
+
+def is_jlin_partial(F: PolySystem, n1: int, cap: int | None = None) -> MembershipVerdict:
+    """Constant-determinant test on the elimination variety (z1, R^{-1}(0; z1)).
+
+    On the variety det J_F = det J_R * det J_{H(.;0)} (Schur), and the block
+    gate certified det J_R as a nonzero constant, so the restricted
+    determinant is that constant times the n1 x n1 determinant of H(.; 0).
+    """
+    front = _eliminated(F, n1, cap)
+    if isinstance(front, MembershipVerdict):
+        return front
+    rinv, _, H0 = front
+    if n1 == 0:
+        # The variety is the single exact point R^{-1}(0).
+        return MembershipVerdict(MEMBER, witness=rinv.det_jr,
+                                 detail=f"Jacobian determinant at R^-1(0) is {rinv.det_jr}")
+
+    restricted = PolyMatrix(block_jacobian(H0, 0)).det().scale(rinv.det_jr)
     if not restricted.is_constant():
         return MembershipVerdict(NON_MEMBER, witness=restricted,
                                  detail="determinant is non-constant on the elimination variety")
     c = restricted.constant_term()
-    if n1 == 0:
-        # The variety is the single exact point R^{-1}(0).
-        if c.is_zero():
-            return MembershipVerdict(NON_MEMBER, witness=c,
-                                     detail="Jacobian determinant vanishes at R^{-1}(0)")
-        return MembershipVerdict(MEMBER, witness=c,
-                                 detail=f"Jacobian determinant at R^{-1}(0) is {c}")
     if c.is_zero():
         return MembershipVerdict(NON_MEMBER, witness=restricted,
                                  detail="determinant vanishes on the elimination variety")
@@ -245,22 +263,16 @@ def is_j_partial(F: PolySystem, n1: int, cap: int | None = None) -> MembershipVe
     system P with F(P(y1)) = (y1, 0) exactly; its leading block is the
     restriction of F^{-1} to the y2 = 0 slice.
     """
-    sp = split(F, n1)
-    try:
-        rinv = invert_R(sp, cap)
-    except BlockNotInvertibleError as err:
-        return _r_failure_verdict(err)
-    if not rinv.certified:
-        return MembershipVerdict(UNDETERMINED, detail=rinv.detail)
-
-    variety = elimination_variety(sp, rinv)
+    front = _eliminated(F, n1, cap)
+    if isinstance(front, MembershipVerdict):
+        return front
+    _, variety, H0 = front
     if n1 == 0:
         return MembershipVerdict(MEMBER, witness=PolySystem(variety, nvars=0),
                                  detail="empty leading block; the block inverse certifies")
 
-    H0 = PolySystem(compose_many(sp.s1_components, variety), nvars=n1)
     try:
-        cert = certify_polynomial_inverse(H0)
+        cert = certify_polynomial_inverse(PolySystem(H0, nvars=n1))
     except LinearPartError:
         return MembershipVerdict(
             NON_MEMBER, witness=None,

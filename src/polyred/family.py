@@ -225,21 +225,6 @@ def sample_corpus(d: int, count: int, seed: int) -> list[FamilyInstance]:
     return out[:count]
 
 
-def equality_jlin_j_partial_check(instances) -> dict:
-    """Verdict agreement of the two n1 = 1 classifiers over given instances."""
-    disagreements = []
-    rows = []
-    for idx, inst in enumerate(instances):
-        F = family_system(inst)
-        a = is_jlin_partial(F, 1)
-        b = is_j_partial(F, 1)
-        rows.append({"instance": idx, "is_jlin_partial": a.verdict,
-                     "is_j_partial": b.verdict})
-        if a.verdict != b.verdict:
-            disagreements.append(idx)
-    return {"rows": rows, "disagreements": disagreements, "passed": not disagreements}
-
-
 def corpus_report(d: int, count: int, seed: int) -> dict:
     """Run closed forms against the general classifiers over a sampled corpus."""
     instances = sample_corpus(d, count, seed)

@@ -94,7 +94,8 @@ def drop_degree_zero(F: PolySystem) -> PolySystem:
 
 def is_jlin(F: PolySystem) -> MembershipVerdict:
     """Constant nonzero Jacobian determinant test, decided exactly."""
-    det = jacobian_matrix(F).det()
+    # the empty Jacobian of a system in no variables has determinant 1
+    det = Polynomial.one(0) if F.is_square() and not F.nvars else jacobian_matrix(F).det()
     if det.is_constant():
         c = det.constant_term()
         if c.is_zero():

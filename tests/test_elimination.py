@@ -1,7 +1,10 @@
+import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import polyred.elimination
 from polyred.elimination import (
     AssemblyError,
     BlockNotInvertibleError,
@@ -16,10 +19,18 @@ from polyred.elimination import (
     schur_identity_check,
     split,
 )
-from polyred.gaussian import Q
-from polyred.jacobian import MEMBER, NON_MEMBER, certify_polynomial_inverse, is_jlin
+from polyred.gaussian import Gaussian, Q
+from polyred.io import read_system
+from polyred.jacobian import (
+    MEMBER,
+    NON_MEMBER,
+    certify_polynomial_inverse,
+    is_jlin,
+    jacobian_matrix,
+)
 from polyred.poly import Polynomial, PolySystem, block_jacobian, compose_many
-from polyred.samples import curated_invertible_pairs, random_affine_split_system
+from polyred.reduction import ALGEBRAIC, phi
+from polyred.samples import curated_invertible_pairs, random_affine_split_system, random_poly
 from polyred.series import truncated_block_inverse
 
 P = Polynomial
@@ -278,6 +289,94 @@ def test_degenerate_n1_zero():
     assert_slice_inverse(F, 0, v.witness)
     G = PolySystem([z(0) - z(0) ** 2, z(1)])
     assert is_j_partial(G, 0).verdict == NON_MEMBER
+
+
+def test_is_jlin_partial_scales_by_complex_block_determinant():
+    # R = (1+i) z2 + z1^2 has det J_R = 1+i and R^{-1}(0; z1) = -z1^2 / (1+i)
+    c = Gaussian(1, 1)
+    R = z(1) * c + z(0) ** 2
+    v = is_jlin_partial(PolySystem([z(0), R]), 1)
+    assert (v.verdict, v.witness) == (MEMBER, c)
+    # H(.; 0) = z1 + z1^3 / (1+i), so the restricted determinant is 3 z1^2 + 1+i
+    v = is_jlin_partial(PolySystem([z(0) - z(0) * z(1), R]), 1)
+    assert v.verdict == NON_MEMBER
+    assert v.witness == P(1, {(2,): 3, (0,): c})
+
+
+def dense_jlin_partial(F, n1):
+    """(verdict, witness, detail) from det J_F on the elimination variety, all N variables."""
+    sp = split(F, n1)
+    restricted = jacobian_matrix(F).substitute(elimination_variety(sp, invert_R(sp))).det()
+    if not restricted.is_constant():
+        return NON_MEMBER, restricted, "determinant is non-constant on the elimination variety"
+    c = restricted.constant_term()
+    if n1 == 0:
+        return MEMBER, c, f"Jacobian determinant at R^-1(0) is {c}"
+    if c.is_zero():
+        return NON_MEMBER, restricted, "determinant vanishes on the elimination variety"
+    return MEMBER, c, f"determinant on the elimination variety is {c}"
+
+
+def random_scaled_split_system(rng, n1, n2):
+    """A square system whose trailing block is invertible with det J_R a random non-one constant.
+
+    The block is affine (unimodular linear part) or a triangular nonlinear
+    shear; its first component is then scaled.  The leading block is random,
+    linear in z1, or a function of z2 only, so every verdict branch occurs.
+    """
+    N = n1 + n2
+    if rng.random() < 0.5:
+        comps = list(random_affine_split_system(rng, n1, n2).components[n1:])
+    else:
+        # component j is z2_j plus a polynomial in z1 and the later z2 variables
+        comps = []
+        for j in range(n2):
+            keep = [P.variable(i, N) if i < n1 or i > n1 + j else P.zero(N) for i in range(N)]
+            tail = random_poly(rng, N, range(2, 4), 0.2).compose(keep)
+            comps.append(P.variable(n1 + j, N) + tail)
+    scale = rng.choice([Gaussian(1, 1), Gaussian(-2), Gaussian(0, Fraction(1, 3)),
+                        Gaussian(Fraction(3, 2), -1)])
+    comps[0] = comps[0].scale(scale)
+    kind = rng.choice(["random", "linear", "z2 only"])
+    if kind == "random":
+        lead = [P.variable(i, N) + random_poly(rng, N, range(1, 4), 0.2) for i in range(n1)]
+    elif kind == "linear":
+        lead = [random_poly(rng, n1, [1], 0.7).lift(N) for _ in range(n1)]
+    else:
+        lead = [random_poly(rng, n2, range(1, 3), 0.5).lift(N, n1) for _ in range(n1)]
+    return PolySystem(lead + comps, nvars=N)
+
+
+@pytest.mark.parametrize("n1", [0, 1, 2])
+@pytest.mark.parametrize("n2", [1, 2])
+def test_is_jlin_partial_matches_dense_determinant(n1, n2):
+    rng = random.Random(1000 * n1 + n2)
+    verdicts = set()
+    for _ in range(12):
+        F = random_scaled_split_system(rng, n1, n2)
+        rinv = invert_R(split(F, n1))
+        assert rinv.certified and rinv.det_jr != Gaussian(1)
+        v = is_jlin_partial(F, n1)
+        assert (v.verdict, v.witness, v.detail) == dense_jlin_partial(F, n1)
+        verdicts.add((v.verdict, v.detail.split(" is ")[0]))
+    if n1 > 0:
+        assert len(verdicts) >= 2
+
+
+def test_is_jlin_partial_builds_no_dense_jacobian(monkeypatch):
+    def refuse(F):
+        raise AssertionError("dense N x N Jacobian built")
+
+    monkeypatch.setattr(polyred.elimination, "jacobian_matrix", refuse)
+    F = PolySystem([z(0, 1) + z(0, 1) ** 3 * Q(Fraction(1, 2))], degree_bound=3)
+    image = phi(F, ALGEBRAIC).system
+    assert is_jlin_partial(image, 1).verdict == is_jlin(F).verdict == NON_MEMBER
+    G = PolySystem([z(0) + z(1) ** 3, z(1)], degree_bound=3)
+    v = is_jlin_partial(phi(G, ALGEBRAIC).system, 2)
+    assert (v.verdict, v.witness) == (MEMBER, Gaussian(1))
+    member, _ = read_system(str(Path(__file__).parent / "golden" / "member.json"))
+    v = is_jlin_partial(member, 0)
+    assert (v.verdict, str(v.witness)) == (MEMBER, "1-1/2*i")
 
 
 def test_assemble_inverse_triangular():

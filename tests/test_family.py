@@ -8,10 +8,8 @@ from polyred.family import (
     closed_form_partial_conditions,
     closed_sum_form,
     corpus_report,
-    equality_jlin_j_partial_check,
     family_system,
     reference_form_deviation,
-    sample_corpus,
     separation_witnesses,
     specialized_jacobian,
 )
@@ -151,9 +149,8 @@ def test_second_family_restricted_inverse_is_identity_slice():
 
 
 def test_equality_check_and_corpus():
-    instances = sample_corpus(2, 40, seed=7)
-    rep = equality_jlin_j_partial_check(instances)
-    assert rep["passed"], rep["disagreements"]
+    rep = corpus_report(2, 40, 7)
+    assert rep["passed"], rep["equality_disagreements"]
     full = corpus_report(3, 60, seed=7)
     assert full["passed"]
     assert full["separation"]["partial_not_classical"]["is_jlin"] == NON_MEMBER

@@ -284,6 +284,43 @@ def test_cli_graded_commands_reject_zero_variables(command, tmp_path, capsys):
     assert captured.err == "error: a coupling tensor needs at least one variable\n"
 
 
+def test_cli_jacobian_commands_on_zero_variables(tmp_path, capsys):
+    # the empty Jacobian has determinant 1, so every membership test answers member
+    path = tmp_path / "empty.json"
+    path.write_text(json.dumps({"version": 1, "nvars": 0, "degree_bound": 0,
+                                "components": []}))
+    empty = {"version": 1, "nvars": 0, "degree_bound": 0, "components": []}
+    code, out = run_cli(capsys, "check-jlin", str(path))
+    assert code == 0
+    assert json.loads(out) == {
+        "command": "check-jlin", "input": str(path), "verdict": "member",
+        "constant": "1", "offending_term": None,
+        "detail": "Jacobian determinant is the constant 1"}
+    code, out = run_cli(capsys, "check-partial", str(path), "--n1", "0", "--lin")
+    assert code == 0
+    assert json.loads(out) == {
+        "command": "check-partial", "input": str(path), "n1": 0, "lin": True,
+        "verdict": "member", "witness": {"kind": "constant", "value": "1"},
+        "detail": "Jacobian determinant at R^-1(0) is 1"}
+    code, out = run_cli(capsys, "check-partial", str(path), "--n1", "0")
+    assert code == 0
+    assert json.loads(out) == {
+        "command": "check-partial", "input": str(path), "n1": 0, "lin": False,
+        "verdict": "member",
+        "witness": {"kind": "system", "pretty": "()", "system": empty},
+        "detail": "empty leading block; the block inverse certifies"}
+    code, out = run_cli(capsys, "eliminate", str(path), "--n1", "0")
+    assert code == 0
+    rep = json.loads(out)
+    assert rep["status"] == "ok"
+    assert rep["R"] == rep["Rinv"] == rep["H"] == empty
+    # one component in no variables is not square, and stays an input error
+    path.write_text(json.dumps({**empty, "components": [
+        {"nvars": 0, "terms": [{"exp": [], "re": "1", "im": "0"}]}]}))
+    assert main(["check-jlin", str(path)]) == 2
+    assert capsys.readouterr().err == "error: Jacobian needs a square system\n"
+
+
 def test_cli_rejects_vacuous_counts_and_negative_caps(member_file, capsys):
     assert main(["example-s4", "--d", "2", "--count", "0"]) == 2
     assert main(["example-s4", "--d", "2", "--count", "-1"]) == 2
