@@ -155,7 +155,7 @@ def _cmd_eliminate(args) -> tuple[dict, int]:
         return report, 1
     if not rinv.certified:
         return ({"command": "eliminate", "input": args.system, "n1": args.n1,
-                 "status": rinv.status, "detail": rinv.detail}, 1)
+                 "status": "cap_too_low", "detail": rinv.detail}, 1)
     H = build_H(sp, rinv)
     report = {
         "command": "eliminate",

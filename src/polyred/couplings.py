@@ -8,7 +8,9 @@ sorted tuple is the canonical symmetrized form: an entry equals the sum of
 all redundant order-dependent coefficients of that monomial, which is the
 only combination that can influence the system.
 
-The grading weight of a degree-k coupling is k - 1; every truncated-series
+The grading weight of a degree-k coupling is k - 1: the graded nonlinearity
+W~_i = sum_k theta^(k-1) W_k,i of :meth:`CouplingTensor.graded_nonlinearity`
+is the one place that rule is written, and every truncated-series
 computation in :mod:`polyred.series` is graded by the total such weight.
 """
 
@@ -134,6 +136,18 @@ class CouplingTensor:
             if kk == k and ii == i
         }
         return Polynomial(self.dims, terms)
+
+    def graded_nonlinearity(self) -> list[Polynomial]:
+        """W~_i = sum_k theta^(k-1) W_k,i in dims + 1 variables, theta last.
+
+        The grading indeterminate theta weights a degree-k coupling by k - 1,
+        so the nonlinearity evaluated on a graded series keeps the grading.
+        """
+        n = self.dims
+        terms: list[dict[tuple, Gaussian]] = [dict() for _ in range(n)]
+        for (k, i, t), c in self.entries.items():
+            terms[i][_exps_of_tuple(t, n) + (k - 1,)] = c
+        return [Polynomial(n + 1, tm) for tm in terms]
 
     def degrees(self) -> list[int]:
         return sorted({k for (k, _, _) in self.entries})

@@ -99,7 +99,6 @@ class PartialInverse:
 
     components: tuple[Polynomial, ...]
     certified: bool
-    status: str  # "certified" | "cap_too_low"
     det_jr: Gaussian  # the nonzero constant det J_R that the block gate certified
     detail: str = ""
 
@@ -123,7 +122,7 @@ def invert_trailing_block(comps, nvars: int, start: int, cap: int | None = None)
     if len(comps) != nb:
         raise ValueError("component count must match the block size")
     if nb == 0:
-        return PartialInverse((), True, "certified", ONE, "empty block")
+        return PartialInverse((), True, ONE, "empty block")
 
     # Gate: the block Jacobian determinant must be a nonzero constant.
     detJR = PolyMatrix(block_jacobian(comps, start)).det()
@@ -138,14 +137,14 @@ def invert_trailing_block(comps, nvars: int, start: int, cap: int | None = None)
     used_cap = bound if cap is None else cap
     _, rinv, exact = truncated_block_inverse(comps, nvars, start, used_cap)
     if exact:
-        return PartialInverse(tuple(rinv), True, "certified", c_r,
+        return PartialInverse(tuple(rinv), True, c_r,
                               f"exact block inverse (cap {used_cap})")
     if used_cap >= bound:
         raise BlockNotInvertibleError(
             f"no polynomial block inverse exists: certification fails at cap {used_cap} "
             f">= d2^(n2-1) = {bound} (imported classical degree bound)",
             detJR)
-    return PartialInverse(tuple(rinv), False, "cap_too_low", c_r,
+    return PartialInverse(tuple(rinv), False, c_r,
                           f"certification failed at cap {used_cap} < bound {bound}; undetermined")
 
 
@@ -165,7 +164,7 @@ def invert_leading_block(comps, nvars: int, n_block: int, cap: int | None = None
     for old, new in enumerate(perm):
         inv_perm[new] = old
     return PartialInverse(tuple(q.permute_vars(inv_perm) for q in out.components),
-                          out.certified, out.status, out.det_jr, out.detail)
+                          out.certified, out.det_jr, out.detail)
 
 
 def build_H(sp: SplitSystem, rinv: PartialInverse) -> PolySystem:
@@ -193,10 +192,12 @@ def schur_identity_check(sp: SplitSystem, rinv: PartialInverse):
     N, n1, n2 = sp.N, sp.n1, sp.n2
     variety = [Polynomial.variable(i, N) for i in range(n1)] + list(rinv.components)
 
-    lhs = jacobian_matrix(sp.S).substitute(variety).det()
+    JS = jacobian_matrix(sp.S).substitute(variety)
+    lhs = JS.det()
 
     if n2 > 0:
-        det_r = PolyMatrix(block_jacobian(sp.r_components, n1)).substitute(variety).det()
+        # J_R on the variety is the trailing n2 x n2 block of J_S on it
+        det_r = PolyMatrix([row[n1:] for row in JS.entries[n1:]]).det()
     else:
         det_r = Polynomial.one(N)
 

@@ -51,8 +51,8 @@ from .elimination import (
     is_jlin_partial,
     split,
 )
-from .poly import Polynomial, PolySystem, compose_many
-from .series import compose_poly, formal_inverse_fixed_point
+from .poly import Polynomial, PolySystem, block_jacobian, compose_many
+from .series import formal_inverse_fixed_point
 
 ALGEBRAIC = "algebraic"
 QFT = "qft"
@@ -94,21 +94,12 @@ def euler_weighted_gradient(F: PolySystem) -> list[list[Polynomial]]:
     """psi[i][j] = sum_c (1/c) d(F_c)_i / dz_j over the homogeneous parts F_c.
 
     Contracting with z recovers F: sum_j z_j psi[i][j] = F_i (the classical
-    homogeneous-function identity applied degree by degree).
+    homogeneous-function identity applied degree by degree).  psi is the
+    transposed Jacobian of F with each term divided by its degree.
     """
-    n = F.nvars
-    psi = [[Polynomial.zero(n) for _ in range(n)] for _ in range(n)]
-    for i, p in enumerate(F.components):
-        for c in range(1, max(p.degree(), 0) + 1):
-            part = p.homogeneous_part(c)
-            if part.is_zero():
-                continue
-            w = Gaussian(Fraction(1, c))
-            for j in range(n):
-                dp = part.partial(j)
-                if not dp.is_zero():
-                    psi[i][j] = psi[i][j] + dp.scale(w)
-    return psi
+    weighted = [Polynomial(F.nvars, {e: c / sum(e) for e, c in p.terms.items() if any(e)})
+                for p in F.components]
+    return [list(col) for col in zip(*block_jacobian(weighted, 0))]
 
 
 def phi_algebraic(F: PolySystem) -> ReducedSystem:
@@ -152,13 +143,10 @@ def phi_qft(w: CouplingTensor) -> CouplingTensor:
             t = tuple(sorted((j, aux_index(n, i, j))))
             entries[(2, i, t)] = ONE
     inv_d = Gaussian(Fraction(1, d))
+    slices = block_jacobian([w.coupling_poly(i, d).scale(inv_d) for i in range(n)], 0)
     for i in range(n):
-        Wd = w.coupling_poly(i, d)
-        if Wd.is_zero():
-            continue
         for j in range(n):
-            slice_ij = Wd.partial(j).scale(inv_d)
-            for exps, c in slice_ij.terms.items():
+            for exps, c in slices[j][i].terms.items():
                 entries[(d - 1, aux_index(n, i, j), tuple_of_exps(exps))] = c
     return CouplingTensor(N, d - 1, entries)
 
@@ -273,8 +261,9 @@ def reduced_inverse_check(w: CouplingTensor, order: int) -> dict:
 
     With the auxiliary source coordinates pinned to zero, the first n
     components of the reduced inverse must equal the source inverse grade by
-    grade, and auxiliary component (i, j) must equal the (d-2)-shifted
-    derivative slice of the degree-d coupling evaluated on G.
+    grade, and auxiliary component (i, j) must equal the derivative slice
+    (1/d) dW_d,i/dz_j of the degree-d coupling evaluated on G, raised d - 2
+    grades: one Jacobian of (1/d) theta^(d-2) W_d, evaluated on (G, theta).
     """
     n, d = w.dims, w.max_degree
     wt = phi_qft(w)
@@ -283,14 +272,13 @@ def reduced_inverse_check(w: CouplingTensor, order: int) -> dict:
              [Polynomial.zero(n)] * (n * n)
     Gt = formal_inverse_fixed_point(wt, order, source)
     first_ok = all(Gt[i] == G[i] for i in range(n))
-    inv_d = Gaussian(Fraction(1, d))
-    aux_ok = True
-    for i in range(n):
-        Wd = w.coupling_poly(i, d)
-        for j in range(n):
-            expected = compose_poly(Wd.partial(j).scale(inv_d), G.components, order).shift(d - 2)
-            if Gt[aux_index(n, i, j)] != expected:
-                aux_ok = False
+    theta_wd = Polynomial.monomial((0,) * n + (d - 2,), Gaussian(Fraction(1, d)))
+    JWd = block_jacobian([w.coupling_poly(i, d).lift(n + 1) * theta_wd for i in range(n)], 0)
+    # auxiliary slot (i, j) is component n + i*n + j, and JWd[j][i] differentiates W_d,i by z_j
+    expected = compose_many([JWd[j][i] for i in range(n) for j in range(n)],
+                            [g.poly for g in G.components] + [Polynomial.variable(n, n + 1)],
+                            order, n)
+    aux_ok = [g.poly for g in Gt.components[n:]] == expected
     return {"first_block_equal": first_ok, "aux_closed_form": aux_ok,
             "passed": first_ok and aux_ok, "order": order}
 

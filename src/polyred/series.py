@@ -1,7 +1,10 @@
 """Graded truncated series and the combinatorial formal inverse.
 
 The grading weight of a degree-k coupling is k - 1, so a product of couplings
-carries the sum of their weights.  A :class:`GradedPoly` is a scalar series
+carries the sum of their weights.  The rule is written once, in
+:meth:`CouplingTensor.graded_nonlinearity`: W~ = sum_k theta^(k-1) W_k, and
+each graded quantity below evaluates W~ or its Jacobian on G in one
+``compose_many`` batch.  A :class:`GradedPoly` is a scalar series
 truncated at a fixed weight: one :class:`Polynomial` whose extra last
 variable theta carries the grade, so series products and substitutions are
 ``Polynomial.mul``/``compose`` cut at the order in theta.  The formal inverse G
@@ -110,11 +113,6 @@ class GradedPoly:
     def __mul__(self, other: "GradedPoly") -> "GradedPoly":
         self._check(other)
         return self._with(self.poly.mul(other.poly, self.order, self.nvars))
-
-    def shift(self, k: int) -> "GradedPoly":
-        """Multiply by the grading indeterminate to the k-th power."""
-        theta_k = Polynomial.monomial((0,) * self.nvars + (k,), 1)
-        return self._with(self.poly.mul(theta_k, self.order, self.nvars))
 
     def exp(self) -> "GradedPoly":
         """exp of a series with vanishing grade-0 part (finite sum after truncation)."""
@@ -299,21 +297,17 @@ def formal_inverse_fixed_point(w: CouplingTensor, order: int,
 def inversion_defect(w: CouplingTensor, G: GradedSeriesVector,
                      source: Sequence[Polynomial] | None = None) -> GradedSeriesVector:
     """F(G) - source as a graded vector; zero when G inverts F through the order."""
-    order = G.order
     n = w.dims
     if source is None:
         if G.nvars != n:
             raise ValueError("the default source needs G expressed in the u-ring")
         source = [Polynomial.variable(i, n) for i in range(n)]
-    out = []
-    for i in range(n):
-        acc = G.components[i] - GradedPoly.of_poly(source[i], order)
-        for k in w.degrees():
-            wp = w.coupling_poly(i, k)
-            if not wp.is_zero():
-                acc = acc - compose_poly(wp, G.components, order).shift(k - 1)
-        out.append(acc)
-    return GradedSeriesVector(out)
+    nv = G.nvars
+    theta = Polynomial.variable(nv, nv + 1)
+    WG = compose_many(w.graded_nonlinearity(), [g.poly for g in G.components] + [theta],
+                      G.order, nv)
+    return GradedSeriesVector([GradedPoly(G.order, nv, g.poly - s.lift(nv + 1) - wg)
+                               for g, s, wg in zip(G.components, source, WG)])
 
 
 # -- rooted plane trees -------------------------------------------------------
@@ -442,21 +436,17 @@ def tree_oracle_inverse(w: CouplingTensor, order: int,
 
 
 def _curvature_matrix(w: CouplingTensor, G: GradedSeriesVector) -> list[list[GradedPoly]]:
-    """M = 1 - J_F evaluated on G: entry (i, j) = sum_k shift(k-1, dW_k,i/dz_j (G))."""
-    n = w.dims
-    order = G.order
-    nv = G.nvars
-    M = [[GradedPoly.zero(order, nv) for _ in range(n)] for _ in range(n)]
-    for i in range(n):
-        for k in w.degrees():
-            wp = w.coupling_poly(i, k)
-            if wp.is_zero():
-                continue
-            for j in range(n):
-                dp = wp.partial(j)
-                if not dp.is_zero():
-                    M[i][j] = M[i][j] + compose_poly(dp, G.components, order).shift(k - 1)
-    return M
+    """The Jacobian of W~ evaluated on G: entry (j, i) = dW~_i/dz_j (G).
+
+    This is M = 1 - J_F(G) transposed, as :func:`polyred.poly.block_jacobian`
+    orients it; traces of powers and the determinant do not see the transpose.
+    """
+    n, nv = w.dims, G.nvars
+    theta = Polynomial.variable(nv, nv + 1)
+    JW = block_jacobian(w.graded_nonlinearity(), 0)
+    flat = iter(compose_many([e for row in JW for e in row],
+                             [g.poly for g in G.components] + [theta], G.order, nv))
+    return [[GradedPoly(G.order, nv, next(flat)) for _ in range(n)] for _ in range(n)]
 
 
 def _mat_mul(A: list[list[GradedPoly]], B: list[list[GradedPoly]]) -> list[list[GradedPoly]]:

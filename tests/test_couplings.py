@@ -65,6 +65,14 @@ def test_coupling_poly():
     assert w.has_quadratic()
 
 
+def test_graded_nonlinearity_weights_degree_k_by_theta_to_the_k_minus_1():
+    w = CouplingTensor(2, 3, {(2, 0, (0, 1)): Q(3), (3, 0, (1, 1, 1)): Q(0, 1),
+                              (3, 1, (0, 0, 1)): Q(-2)})
+    assert w.graded_nonlinearity() == [P.monomial((1, 1, 1), 3) + P.monomial((0, 3, 2), Q(0, 1)),
+                                       P.monomial((2, 1, 2), -2)]
+    assert CouplingTensor(3, 4).graded_nonlinearity() == [P.zero(4)] * 3
+
+
 def test_validation():
     with pytest.raises(ValueError):
         CouplingTensor(2, 3, {(3, 0, (1, 0, 0)): Q(1)})   # unsorted tuple

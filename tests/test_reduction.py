@@ -1,8 +1,9 @@
 import random
+from fractions import Fraction
 
 import pytest
 
-from polyred.couplings import CouplingTensor
+from polyred.couplings import CouplingTensor, tuple_of_exps
 from polyred.elimination import elimination_variety, invert_R, split
 from polyred.gaussian import Q
 from polyred.poly import Polynomial, PolySystem, compose_many
@@ -10,6 +11,7 @@ from polyred.reduction import (
     ALGEBRAIC,
     QFT,
     aux_index,
+    euler_weighted_gradient,
     h_recovery_check,
     is_in_image_of_phi,
     phi,
@@ -26,7 +28,7 @@ from polyred.samples import (
     random_rational,
     random_zero_constant_system,
 )
-from polyred.series import compose_poly, formal_inverse_fixed_point
+from polyred.series import GradedPoly, compose_poly, formal_inverse_fixed_point
 
 P = Polynomial
 
@@ -288,12 +290,12 @@ def test_reduced_inverse_check_closed_form():
     w = CouplingTensor(1, 3, {(3, 0, (0, 0, 0)): c})
     rep = reduced_inverse_check(w, 5)
     assert rep["passed"]
-    # explicit auxiliary grades: Gt_aux = shift(1, c * G^2)
+    # explicit auxiliary grades: Gt_aux = theta * c * G^2
     G = formal_inverse_fixed_point(w, 5)
     wt = phi_qft(w)
     Gt = formal_inverse_fixed_point(wt, 5, [P.variable(0, 1), P.zero(1)])
     Gsq = compose_poly(P.monomial((2,), 1, nvars=1), [G[0]], 5)
-    assert Gt[1] == Gsq.shift(1)
+    assert Gt[1] == Gsq * GradedPoly.of_poly(P.one(1), 5, grade=1)
     assert Gt[1].grade(1) == P.monomial((2,), 1)
     assert Gt[1].grade(3) == P.monomial((4,), 2)
 
@@ -314,3 +316,44 @@ def test_reduce_to_quadratic_driver():
     stages = reduce_to_quadratic(F)
     assert [s.system.degree_bound for s in stages] == [3, 2]
     assert stages[-1].system.nvars == 6  # 1 -> 2 -> 6
+
+
+# -- Jacobian slices against the entry-by-entry loop formulas --------------------
+
+
+def loop_euler_gradient(F):
+    n = F.nvars
+    psi = [[P.zero(n) for _ in range(n)] for _ in range(n)]
+    for i, p in enumerate(F.components):
+        for c in range(1, p.degree() + 1):
+            for j in range(n):
+                psi[i][j] = psi[i][j] + p.homogeneous_part(c).partial(j).scale(Q(Fraction(1, c)))
+    return psi
+
+
+def loop_phi_qft(w):
+    """Middle couplings kept, unit bilinear couplings added, and slice (i, j) of
+    the top coupling, (1/d) dW_d,i/dz_j, relocated onto auxiliary component (i, j)."""
+    n, d = w.dims, w.max_degree
+    entries = {(k, i, t): c for (k, i, t), c in w.entries.items() if k < d}
+    for i in range(n):
+        for j in range(n):
+            entries[(2, i, tuple(sorted((j, aux_index(n, i, j)))))] = Q(1)
+            for exps, c in w.coupling_poly(i, d).partial(j).scale(Q(Fraction(1, d))).terms.items():
+                entries[(d - 1, aux_index(n, i, j), tuple_of_exps(exps))] = c
+    return CouplingTensor(n * (n + 1), d - 1, entries)
+
+
+@pytest.mark.parametrize("n,d", [(n, d) for n in (1, 2, 3) for d in (2, 3, 4)])
+def test_jacobian_slices_match_loop_formulas(n, d, complex_couplings):
+    w = complex_couplings(100 * n + d, n, d)
+    # a constant and a non-identity linear part, which the Euler weights must handle too
+    F = PolySystem([p + P.constant(Q(1, -1), n) + P.variable((i + 1) % n, n).scale(Q(2))
+                    for i, p in enumerate(w.to_system().components)], degree_bound=d)
+    assert euler_weighted_gradient(F) == loop_euler_gradient(F)
+    if d == 2:
+        with pytest.raises(ValueError):
+            phi_qft(w)
+    else:
+        wq = complex_couplings(100 * n + d, n, d, quadratic_free=True)
+        assert phi_qft(wq) == loop_phi_qft(wq)
