@@ -16,9 +16,10 @@ ways:
   grade r off the inverse's homogeneous part of degree r + 1 (each W_k
   application raises the degree, and the grade, by k - 1);
 * :func:`tree_oracle_inverse` sums amplitudes of rooted plane trees whose
-  vertices have in-degrees in {2..d}.  With plane (ordered-children) trees
-  and per-ordering tensor values, no symmetry factors appear; agreement with
-  the fixed point is itself a library-level test.
+  vertices have in-degrees in {2..d}, contracting each distinct subtree
+  once per call.  With plane (ordered-children) trees and per-ordering
+  tensor values, no symmetry factors appear; agreement with the fixed point
+  is itself a library-level test.
 
 The scalar log-partition series ln Z = sum_{r>=1} (1/r) tr((1 - J_F(G))^r)
 and the identity Z * det J_F(G) = 1 are provided on the same grading.
@@ -34,7 +35,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 from .couplings import CouplingTensor, distinct_orderings
 from .gaussian import Gaussian
@@ -379,54 +380,76 @@ def enumerate_trees(d: int, max_weight: int) -> Iterator[PlaneTree]:
         yield from _trees_of_weight(r, d, memo)
 
 
+def _amplitudes(w: CouplingTensor,
+                source: Sequence[Polynomial]) -> Callable[[PlaneTree], list[Polynomial]]:
+    """amp(tree) -> amplitude vector, for one tensor and one source.
+
+    Amplitudes are memoised by subtree (a frozen dataclass, so equal subtrees
+    share one entry), starting from the leaf's source vector, so each distinct
+    subtree is contracted once for as long as the returned function lives.
+    The vertex rules of each in-degree k (root index, per-ordering value and
+    distinct index orderings) are read off the tensor once, up front.
+    """
+    n, nv = w.dims, source[0].nvars
+    rules: dict[int, list[tuple[int, Gaussian, list[tuple[int, ...]]]]] = {}
+    for k, i, idx in w.entries:
+        rules.setdefault(k, []).append(
+            (i, w.symmetric_value(k, i, idx), list(distinct_orderings(idx))))
+    memo: dict[PlaneTree, list[Polynomial]] = {LEAF: list(source)}
+
+    def amp(t: PlaneTree) -> list[Polynomial]:
+        got = memo.get(t)
+        if got is not None:
+            return got
+        child_amps = [amp(c) for c in t.children]
+        out = [Polynomial.zero(nv) for _ in range(n)]
+        for i, val, orderings in rules.get(len(t.children), ()):
+            contribution = Polynomial.zero(nv)
+            for ordered in orderings:
+                prod = Polynomial.one(nv)
+                for slot, j in enumerate(ordered):
+                    prod = prod * child_amps[slot][j]
+                contribution = contribution + prod
+            out[i] = out[i] + contribution.scale(val)
+        memo[t] = out
+        return out
+
+    return amp
+
+
 def tree_amplitude(tree: PlaneTree, w: CouplingTensor,
                    source: Sequence[Polynomial] | None = None) -> list[Polynomial]:
     """Amplitude vector of one tree: entry i is the root-index-i contraction.
 
     Internal indices are contracted over all components with per-ordering
     tensor values; a leaf in slot a contributes the source polynomial of its
-    index.  The plain sum of amplitudes over all plane trees of weight r is
-    the grade-r part of the formal inverse.
+    index.  Each distinct subtree is contracted once per call.  The plain sum
+    of amplitudes over all plane trees of weight r is the grade-r part of the
+    formal inverse.
     """
-    n = w.dims
     if source is None:
-        source = [Polynomial.variable(i, n) for i in range(n)]
-    nv = source[0].nvars
-
-    def amp(t: PlaneTree) -> list[Polynomial]:
-        if t.is_leaf():
-            return list(source)
-        child_amps = [amp(c) for c in t.children]
-        k = len(t.children)
-        out = [Polynomial.zero(nv) for _ in range(n)]
-        for (kk, i, idx), _c in w.entries.items():
-            if kk != k:
-                continue
-            val = w.symmetric_value(k, i, idx)
-            contribution = Polynomial.zero(nv)
-            for ordered in distinct_orderings(idx):
-                prod = Polynomial.one(nv)
-                for slot, j in enumerate(ordered):
-                    prod = prod * child_amps[slot][j]
-                contribution = contribution + prod
-            out[i] = out[i] + contribution.scale(val)
-        return out
-
-    return amp(tree)
+        source = [Polynomial.variable(i, w.dims) for i in range(w.dims)]
+    return _amplitudes(w, source)(tree)
 
 
 def tree_oracle_inverse(w: CouplingTensor, order: int,
                         source: Sequence[Polynomial] | None = None) -> GradedSeriesVector:
-    """Formal inverse by explicit plane-tree enumeration (oracle-scale orders)."""
+    """Formal inverse by explicit plane-tree enumeration (oracle-scale orders).
+
+    Every tree is enumerated and contracted at its root, and one amplitude
+    memo serves the whole call, so each distinct subtree is contracted once.
+    The oracle shares no routine with :func:`formal_inverse_fixed_point`:
+    no ``compose_many``, ``truncated_fixed_point`` or graded nonlinearity.
+    """
     n = w.dims
     if source is None:
         source = [Polynomial.variable(i, n) for i in range(n)]
-    nv = source[0].nvars
     acc = [GradedPoly.of_poly(p, order) for p in source]
     if order >= 1:
+        amp = _amplitudes(w, source)
         for tree in enumerate_trees(w.max_degree, order):
             r = tree.theta_weight
-            for i, p in enumerate(tree_amplitude(tree, w, source)):
+            for i, p in enumerate(amp(tree)):
                 if not p.is_zero():
                     acc[i] = acc[i] + GradedPoly.of_poly(p, order, grade=r)
     return GradedSeriesVector(acc)

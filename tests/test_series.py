@@ -370,3 +370,91 @@ def test_graded_evaluations_do_not_compose_one_polynomial_at_a_time(monkeypatch,
     det_jacobian_on_inverse(w, 3, G)
     euler_weighted_gradient(w.to_system())
     phi_qft(w)
+
+
+# References for the tree oracle: a plain per-tree recursion that contracts
+# every subtree again under each parent and scans all tensor entries at every
+# vertex, with no memo.
+
+
+def reference_amplitude(tree, w, source):
+    if tree.is_leaf():
+        return list(source)
+    nv = source[0].nvars
+    child_amps = [reference_amplitude(c, w, source) for c in tree.children]
+    k = len(tree.children)
+    out = [P.zero(nv) for _ in range(w.dims)]
+    for (kk, i, idx) in w.entries:
+        if kk != k:
+            continue
+        contribution = P.zero(nv)
+        for ordered in set(permutations(idx)):
+            prod = P.one(nv)
+            for slot, j in enumerate(ordered):
+                prod = prod * child_amps[slot][j]
+            contribution = contribution + prod
+        out[i] = out[i] + contribution.scale(w.symmetric_value(k, i, idx))
+    return out
+
+
+def reference_oracle(w, order, source):
+    acc = [GradedPoly.of_poly(p, order) for p in source]
+    for tree in enumerate_trees(w.max_degree, order):
+        for i, p in enumerate(reference_amplitude(tree, w, source)):
+            acc[i] = acc[i] + GradedPoly.of_poly(p, order, grade=tree.theta_weight)
+    return GradedSeriesVector(acc)
+
+
+def wide_source(n, extra):
+    """n source polynomials in n + extra variables, the extra ones in every slot."""
+    nv = n + extra
+    return [P.variable(i, nv) + P.variable(n + i % extra, nv).scale(Q(1, 1))
+            - P.variable(i, nv) * P.variable(nv - 1, nv) for i in range(n)]
+
+
+@pytest.mark.parametrize("n,d", [(n, d) for n in (1, 2, 3) for d in (2, 3, 4)])
+def test_tree_amplitudes_match_per_tree_recursion(n, d, complex_couplings):
+    w = complex_couplings(300 + 10 * n + d, n, d)
+    order = 4 if n < 3 else 3  # keeps the whole test under ~1 s
+    sources = [[P.variable(i, n) for i in range(n)]]
+    if (n, d) == (2, 3):
+        sources.append(wide_source(n, 2))
+    for source in sources:
+        for tree in enumerate_trees(d, order):
+            assert tree_amplitude(tree, w, source) == reference_amplitude(tree, w, source)
+        assert tree_oracle_inverse(w, order, source) == reference_oracle(w, order, source)
+
+
+def test_tree_oracle_memo_lives_per_call(complex_couplings):
+    # Two tensors of one shape share every tree, so a memo that outlived a call
+    # would hand the second tensor the first one's amplitudes.
+    w1, w2 = complex_couplings(41, 2, 3), complex_couplings(42, 2, 3)
+    assert w1 != w2
+    G1, G2 = (formal_inverse_fixed_point(w, 4) for w in (w1, w2))
+    assert G1 != G2
+    assert tree_oracle_inverse(w1, 4) == G1
+    assert tree_oracle_inverse(w2, 4) == G2
+    assert tree_oracle_inverse(w1, 4) == G1
+    # One tensor, two sources: the leaf amplitude is the source.
+    s1 = [P.variable(0, 2), P.zero(2)]
+    s2 = wide_source(2, 1)
+    G1, G2 = (formal_inverse_fixed_point(w1, 4, s) for s in (s1, s2))
+    assert tree_oracle_inverse(w1, 4, s1) == G1
+    assert tree_oracle_inverse(w1, 4, s2) == G2 == reference_oracle(w1, 4, s2)
+    tree = next(t for t in enumerate_trees(3, 2) if t.theta_weight == 2)
+    assert tree_amplitude(tree, w1, s1) == reference_amplitude(tree, w1, s1)
+    assert tree_amplitude(tree, w1, s2) == reference_amplitude(tree, w1, s2)
+
+
+def test_tree_oracle_shares_no_routine_with_the_fixed_point(monkeypatch, complex_couplings):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the oracle reached the fixed-point engine")
+
+    w = complex_couplings(9, 2, 4)
+    G = formal_inverse_fixed_point(w, 4)
+    monkeypatch.setattr(polyred.series, "compose_many", refuse)
+    monkeypatch.setattr(polyred.series, "truncated_fixed_point", refuse)
+    monkeypatch.setattr(CouplingTensor, "graded_nonlinearity", refuse)
+    with pytest.raises(AssertionError):
+        formal_inverse_fixed_point(w, 4)
+    assert tree_oracle_inverse(w, 4) == G
