@@ -4,12 +4,14 @@ Exit codes: 0 when the command's checked property holds (membership,
 identity, corpus consistency, artifact written), 1 when a check fails or a
 verdict is negative/undetermined, 2 on usage or input errors.  Reports are
 deterministic for fixed inputs, flags and seed; timing is attached only when
---timing is passed so byte-identical output stays the default.
+--timing is passed so byte-identical output stays the default.  The parser is
+built once per process; each call reads its handler and $POLYRED_ORDER afresh.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 import time
@@ -266,7 +268,9 @@ def _cmd_verify_all(args) -> tuple[dict, int]:
     return report, 0 if report["passed"] else 1
 
 
-def build_parser() -> argparse.ArgumentParser:
+@functools.cache
+def build_parser() -> tuple[argparse.ArgumentParser, tuple[argparse.ArgumentParser, ...]]:
+    """The CLI, and its sub-parsers that take ``--order``; built once, on first use."""
     ap = argparse.ArgumentParser(
         prog="polyred",
         description="Exact polynomial-system toolkit: Jacobian tests, partial "
@@ -279,7 +283,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check-jlin", help="constant Jacobian determinant test")
     p.add_argument("system")
-    p.set_defaults(fn=_cmd_check_jlin)
 
     p = sub.add_parser("check-partial", help="partial-class membership with n1 parameters")
     p.add_argument("system")
@@ -287,55 +290,51 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lin", action="store_true",
                    help="determinant-based class instead of restricted-inverse class")
     p.add_argument("--cap", type=_int_at_least(0), default=None)
-    p.set_defaults(fn=_cmd_check_partial)
 
     p = sub.add_parser("eliminate", help="emit R, its block inverse and H")
     p.add_argument("system")
     p.add_argument("--n1", type=int, required=True)
     p.add_argument("--cap", type=_int_at_least(0), default=None)
-    p.set_defaults(fn=_cmd_eliminate)
 
     p = sub.add_parser("reduce", help="degree-lowering dimension-raising embedding")
     p.add_argument("system")
     p.add_argument("--variant", choices=(ALGEBRAIC, QFT), required=True)
     p.add_argument("--out-system", help="write the reduced system to this file")
-    p.set_defaults(fn=_cmd_reduce)
 
     p = sub.add_parser("invert", help="graded formal inverse of a normalized system")
     p.add_argument("system")
-    p.add_argument("--order", type=_int_at_least(0), default=os.environ.get(ENV_ORDER, "5"),
+    p.add_argument("--order", type=_int_at_least(0),
                    help=f"truncation order (default ${ENV_ORDER} or 5)")
     p.add_argument("--oracle", choices=("trees",), default=None)
-    p.set_defaults(fn=_cmd_invert)
 
     p = sub.add_parser("partition", help="log partition series and determinant identity")
     p.add_argument("system")
-    p.add_argument("--order", type=_int_at_least(1), default=os.environ.get(ENV_ORDER, "5"),
+    p.add_argument("--order", type=_int_at_least(1),
                    help=f"truncation order (default ${ENV_ORDER} or 5)")
-    p.set_defaults(fn=_cmd_partition)
 
     p = sub.add_parser("example-s4", help="two-variable family corpus run")
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--count", type=_int_at_least(1), default=100)
     p.add_argument("--emit", help="also write the first corpus instance as a system file")
-    p.set_defaults(fn=_cmd_example_s4)
 
     p = sub.add_parser("verify-all", help="run the full acceptance battery")
     p.add_argument("--seed", type=int, default=acceptance.DEFAULT_SEED)
-    p.set_defaults(fn=_cmd_verify_all)
-    return ap
+    return ap, (sub.choices["invert"], sub.choices["partition"])
 
 
 def main(argv=None) -> int:
-    ap = build_parser()
+    ap, with_order = build_parser()
+    for p in with_order:
+        # a string default is parsed like the flag, so a bad $POLYRED_ORDER exits 2
+        p.set_defaults(order=os.environ.get(ENV_ORDER, "5"))
     try:
         args = ap.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0,) else 0
     t0 = time.monotonic()
     try:
-        report, code = args.fn(args)
+        report, code = globals()["_cmd_" + args.command.replace("-", "_")](args)
         if args.timing:
             report["elapsed_ms"] = int((time.monotonic() - t0) * 1000)
         _emit(report, args)

@@ -32,9 +32,6 @@ class MembershipVerdict:
     witness: object = None
     detail: str = ""
 
-    def is_member(self) -> bool:
-        return self.verdict == MEMBER
-
     def __str__(self):
         return f"{self.verdict}: {self.detail}" if self.detail else self.verdict
 

@@ -33,7 +33,7 @@ invertibility certification in :mod:`polyred.jacobian` both go through it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterator, Sequence
 
@@ -316,9 +316,20 @@ def inversion_defect(w: CouplingTensor, G: GradedSeriesVector,
 
 @dataclass(frozen=True)
 class PlaneTree:
-    """Rooted plane tree; children are ordered, leaves are source slots."""
+    """Rooted plane tree; children are ordered, leaves are source slots.
+
+    Equality is by value; the hash is computed once, from the children's
+    stored hashes, so a memo lookup does not walk the subtree.
+    """
 
     children: tuple["PlaneTree", ...] = ()
+    _hash: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_hash", hash(self.children))
+
+    def __hash__(self):
+        return self._hash
 
     def is_leaf(self) -> bool:
         return not self.children
@@ -447,11 +458,12 @@ def tree_oracle_inverse(w: CouplingTensor, order: int,
     acc = [GradedPoly.of_poly(p, order) for p in source]
     if order >= 1:
         amp = _amplitudes(w, source)
-        for tree in enumerate_trees(w.max_degree, order):
-            r = tree.theta_weight
-            for i, p in enumerate(amp(tree)):
-                if not p.is_zero():
-                    acc[i] = acc[i] + GradedPoly.of_poly(p, order, grade=r)
+        trees: dict[int, list[PlaneTree]] = {}
+        for r in range(1, order + 1):
+            for tree in _trees_of_weight(r, w.max_degree, trees):
+                for i, p in enumerate(amp(tree)):
+                    if not p.is_zero():
+                        acc[i] = acc[i] + GradedPoly.of_poly(p, order, grade=r)
     return GradedSeriesVector(acc)
 
 

@@ -1,4 +1,8 @@
+import argparse
 import json
+import os
+import subprocess
+import sys
 import time
 
 import pytest
@@ -204,6 +208,43 @@ def test_cli_order_flag_overrides_env(command, raw, member_file, capsys, monkeyp
     assert json.loads(out)["order"] == 2
 
 
+def test_cli_reads_order_env_on_every_call(member_file, capsys, monkeypatch):
+    for raw, order in [("2", 2), ("3", 3), ("abc", None), (None, 5)]:
+        if raw is None:
+            monkeypatch.delenv("POLYRED_ORDER")
+        else:
+            monkeypatch.setenv("POLYRED_ORDER", raw)
+        code = main(["invert", member_file])
+        captured = capsys.readouterr()
+        if order is None:
+            assert code == 2 and captured.out == "" and "--order" in captured.err
+        else:
+            assert code == 0 and json.loads(captured.out)["order"] == order
+
+
+def test_cli_builds_its_parser_once(ident_file, capsys, monkeypatch):
+    first = run_cli(capsys, "check-jlin", ident_file)
+    assert first[0] == 0
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a second parser was built")
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", refuse)
+    assert run_cli(capsys, "check-jlin", ident_file) == first
+
+
+def test_cli_importing_builds_no_parser():
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    code = ("import argparse\n"
+            "def refuse(*args, **kwargs):\n"
+            "    raise SystemExit('parser built at import')\n"
+            "argparse.ArgumentParser.__init__ = refuse\n"
+            "import polyred.cli\n")
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src}, timeout=60)
+    assert done.returncode == 0, done.stderr
+
+
 def test_cli_eliminate_reports_witness_on_failure(tmp_path, capsys):
     path = tmp_path / "bad.json"
     write_system(str(path), PolySystem([z(0), z(1) - z(1) ** 2], degree_bound=2))
@@ -403,6 +444,9 @@ def test_cli_maps_exhausted_resources_to_exit_2(exc, message, ident_file, monkey
     def exhausted(args):
         raise exc
 
+    # the parser exists before the patch, so the handler must be looked up per call
+    assert main(["check-jlin", ident_file]) == 0
+    capsys.readouterr()
     monkeypatch.setattr("polyred.cli._cmd_check_jlin", exhausted)
     assert main(["check-jlin", ident_file]) == 2
     captured = capsys.readouterr()

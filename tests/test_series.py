@@ -14,6 +14,7 @@ from polyred.reduction import euler_weighted_gradient, phi_qft
 from polyred.series import (
     GradedPoly,
     GradedSeriesVector,
+    PlaneTree,
     compose_poly,
     det_jacobian_on_inverse,
     enumerate_trees,
@@ -423,6 +424,24 @@ def test_tree_amplitudes_match_per_tree_recursion(n, d, complex_couplings):
         for tree in enumerate_trees(d, order):
             assert tree_amplitude(tree, w, source) == reference_amplitude(tree, w, source)
         assert tree_oracle_inverse(w, order, source) == reference_oracle(w, order, source)
+
+
+def rebuilt(tree):
+    """A tree equal to ``tree`` made of fresh objects, leaves included."""
+    return PlaneTree(tuple(rebuilt(c) for c in tree.children))
+
+
+def test_rebuilt_trees_hit_the_amplitude_memo(complex_couplings):
+    # The memo is keyed by value: a tree built apart from the enumeration,
+    # down to a bare PlaneTree() leaf, gets the enumerated tree's entry.
+    w, source = complex_couplings(77, 2, 4), wide_source(2, 1)
+    assert tree_amplitude(PlaneTree(), w, source) == source
+    amp = polyred.series._amplitudes(w, source)
+    for tree in enumerate_trees(4, 3):
+        copy = rebuilt(tree)
+        assert copy == tree and copy is not tree and hash(copy) == hash(tree)
+        assert tree_amplitude(copy, w, source) == reference_amplitude(tree, w, source)
+        assert amp(copy) is amp(tree)
 
 
 def test_tree_oracle_memo_lives_per_call(complex_couplings):
