@@ -9,14 +9,11 @@ computation is exact; verdicts always carry exact witnesses.
 
 from .couplings import CouplingTensor, NormalizationError
 from .elimination import (
-    AssemblyError,
     BlockNotInvertibleError,
     PartialInverse,
     SplitSystem,
-    assemble_inverse,
     build_H,
     elimination_variety,
-    invert_H_parametrized,
     invert_R,
     is_j_partial,
     is_jlin_partial,

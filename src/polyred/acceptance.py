@@ -154,16 +154,17 @@ def _theorem_corpus(seed: int):
 
 
 def criterion_4_transport_lin(seed: int = DEFAULT_SEED) -> CheckResult:
-    """Constant-determinant membership transports across both reductions."""
+    """Constant-determinant membership transports across both reductions,
+    and :func:`is_in_image_of_phi` recovers each source from its image."""
     generic, normalized = _theorem_corpus(seed)
     bad = []
     for F in generic:
         r = verify_theorem_main(F, ALGEBRAIC)
-        if not r["lin_agrees"]:
+        if not (r["lin_agrees"] and r["image_recovered"]):
             bad.append((ALGEBRAIC, str(F)))
     for F in normalized:
         r = verify_theorem_main(F, QFT)
-        if not r["lin_agrees"]:
+        if not (r["lin_agrees"] and r["image_recovered"]):
             bad.append((QFT, str(F)))
     total = len(generic) + len(normalized)
     return CheckResult("4 reduction transport (determinant side)", not bad,

@@ -87,10 +87,6 @@ class CouplingTensor:
                 clean[(k, i, t)] = c
         self.entries = clean
 
-    @staticmethod
-    def zero(dims: int, max_degree: int) -> "CouplingTensor":
-        return CouplingTensor(dims, max_degree)
-
     # -- conversions -------------------------------------------------------
 
     @staticmethod

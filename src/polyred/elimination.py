@@ -10,8 +10,10 @@ H(z1; y2) = S_1(z1, R^{-1}(y2; z1)) carries all remaining information:
   det J_S(z1, R^{-1}(y2; z1)) = det J_R * det J_H (a Schur-complement fact),
   so with the constant det J_R of the block gate, the constant-determinant
   test on the variety is one n1 x n1 determinant of H(.; 0);
-* S has a polynomial inverse on the y2 = 0 slice exactly when H(.; 0) does,
-  and then (S^{-1})_1 = H^{-1}, (S^{-1})_2 = R^{-1}(y2; H^{-1}).
+* S has a polynomial inverse on the y2 = 0 slice exactly when H(.; 0) does.
+  The library certifies that restricted inverse (:func:`is_j_partial`); it
+  no longer assembles the full inverse (S^{-1})_1 = H^{-1},
+  (S^{-1})_2 = R^{-1}(y2; H^{-1}) from a parameter-aware inverse of H.
 
 Variable bookkeeping: everything stays in one ambient ring of N variables.
 In inputs the trailing block means z2; in block inverses and in H the
@@ -55,12 +57,6 @@ class BlockNotInvertibleError(ValueError):
     def __init__(self, message: str, witness: Polynomial):
         super().__init__(message)
         self.witness = witness
-
-
-class AssemblyError(ValueError):
-    def __init__(self, message: str, residual: PolySystem):
-        super().__init__(message)
-        self.residual = residual
 
 
 @dataclass
@@ -151,20 +147,6 @@ def invert_trailing_block(comps, nvars: int, start: int, cap: int | None = None)
 def invert_R(sp: SplitSystem, cap: int | None = None) -> PartialInverse:
     """Block inverse of R(z2; z1); trailing variables of the result mean y2."""
     return invert_trailing_block(list(sp.r_components), sp.N, sp.n1, cap)
-
-
-def invert_leading_block(comps, nvars: int, n_block: int, cap: int | None = None) -> PartialInverse:
-    """Like :func:`invert_trailing_block` but the block is the leading n_block variables."""
-    start = nvars - n_block
-    perm = [start + i for i in range(n_block)] + [j for j in range(nvars - n_block)]
-    # perm maps old block var i -> slot start+i, old param var n_block+j -> slot j.
-    permuted = [p.permute_vars(perm) for p in comps]
-    out = invert_trailing_block(permuted, nvars, start, cap)
-    inv_perm = [0] * nvars
-    for old, new in enumerate(perm):
-        inv_perm[new] = old
-    return PartialInverse(tuple(q.permute_vars(inv_perm) for q in out.components),
-                          out.certified, out.det_jr, out.detail)
 
 
 def build_H(sp: SplitSystem, rinv: PartialInverse) -> PolySystem:
@@ -288,32 +270,3 @@ def is_j_partial(F: PolySystem, n1: int, cap: int | None = None) -> MembershipVe
     P = PolySystem(Hinv0 + compose_many(variety[n1:], Hinv0), nvars=n1)
     return MembershipVerdict(MEMBER, witness=P,
                              detail="restricted inverse certified by exact composition")
-
-
-def assemble_inverse(sp: SplitSystem, Hinv: PolySystem, rinv: PartialInverse) -> PolySystem:
-    """Full inverse from the pieces: (S^{-1})_1 = H^{-1}, (S^{-1})_2 = R^{-1}(y2; H^{-1}).
-
-    ``Hinv`` must be the parameter-aware inverse of H: n1 components in the
-    (y1 | y2) ring.  ``Hinv`` comes from the caller, so the assembled system
-    is certified here by the forward composition S(S^{-1}) = y, which makes
-    it two-sided by the lemma in :func:`polyred.series.truncated_block_inverse`;
-    failure raises :class:`AssemblyError` with the residual.
-    """
-    if not rinv.certified:
-        raise ValueError("assemble_inverse needs a certified block inverse")
-    N, n1 = sp.N, sp.n1
-    if len(Hinv.components) != n1 or Hinv.nvars != N:
-        raise ValueError("Hinv must have n1 components in the ambient ring")
-    targets = list(Hinv.components) + [Polynomial.variable(n1 + j, N) for j in range(sp.n2)]
-    Sinv = PolySystem(list(Hinv.components) + compose_many(rinv.components, targets), nvars=N)
-    fwd = sp.S.after(Sinv)
-    if fwd != PolySystem.identity(N):
-        raise AssemblyError("assembled inverse failed exact composition", fwd)
-    return Sinv
-
-
-def invert_H_parametrized(sp: SplitSystem, rinv: PartialInverse,
-                          cap: int | None = None) -> PartialInverse:
-    """Parameter-aware inverse of H in its leading block (y2 stays a parameter)."""
-    H = build_H(sp, rinv)
-    return invert_leading_block(list(H.components), sp.N, sp.n1, cap)

@@ -85,12 +85,6 @@ class Gaussian:
     def is_zero(self) -> bool:
         return not self._a and not self._b
 
-    def is_real(self) -> bool:
-        return not self._b
-
-    def conjugate(self) -> "Gaussian":
-        return Gaussian(self._a, -self._b, self._d)
-
     # -- field operations ------------------------------------------------
 
     def __add__(self, other):

@@ -38,10 +38,6 @@ def grlex_key(exps: tuple) -> tuple:
     return (sum(exps), exps)
 
 
-def total_degree(exps: tuple) -> int:
-    return sum(exps)
-
-
 class Polynomial:
     __slots__ = ("nvars", "terms")
 
@@ -102,7 +98,7 @@ class Polynomial:
         return not self.terms
 
     def is_constant(self) -> bool:
-        return all(total_degree(e) == 0 for e in self.terms)
+        return all(sum(e) == 0 for e in self.terms)
 
     def constant_term(self) -> Gaussian:
         return self.terms.get((0,) * self.nvars, ZERO)
@@ -114,7 +110,7 @@ class Polynomial:
         """Total degree; -1 for the zero polynomial."""
         if not self.terms:
             return -1
-        return max(total_degree(e) for e in self.terms)
+        return max(sum(e) for e in self.terms)
 
     def block_degree(self, start: int, end: int) -> int:
         if not self.terms:
@@ -249,19 +245,6 @@ class Polynomial:
         """Substitute ``subs[i]`` for variable i; see :func:`compose_many`."""
         return compose_many([self], subs, max_degree, start)[0]
 
-    def evaluate(self, point: Sequence) -> Gaussian:
-        if len(point) != self.nvars:
-            raise ValueError(f"expected {self.nvars} coordinates, got {len(point)}")
-        point = [Gaussian.coerce(x) for x in point]
-        acc = ZERO
-        for exps, c in self.terms.items():
-            v = c
-            for x, e in zip(point, exps):
-                if e:
-                    v = v * (x ** e)
-            acc = acc + v
-        return acc
-
     def scale_vars(self, factors: Sequence) -> "Polynomial":
         """p(f0*z0, f1*z1, ...) for scalar factors."""
         factors = [Gaussian.coerce(f) for f in factors]
@@ -291,18 +274,6 @@ class Polynomial:
             if any(e[n_keep:]):
                 raise ValueError("polynomial uses a variable being dropped")
         return Polynomial(n_keep, {e[:n_keep]: c for e, c in self.terms.items()})
-
-    def permute_vars(self, perm: Sequence[int]) -> "Polynomial":
-        """Rename variables: old variable i becomes new variable perm[i]."""
-        if sorted(perm) != list(range(self.nvars)):
-            raise ValueError("not a permutation")
-        out: dict[tuple, Gaussian] = {}
-        for exps, c in self.terms.items():
-            new = [0] * self.nvars
-            for i, e in enumerate(exps):
-                new[perm[i]] = e
-            out[tuple(new)] = c
-        return Polynomial(self.nvars, out)
 
     # -- rendering -------------------------------------------------------------
 
@@ -555,9 +526,6 @@ class PolySystem:
         if len(inner.components) != self.nvars:
             raise ValueError("composition arity mismatch")
         return self.substitute(inner.components)
-
-    def evaluate(self, point: Sequence) -> list[Gaussian]:
-        return [p.evaluate(point) for p in self.components]
 
     def constant_part(self) -> list[Gaussian]:
         return [p.constant_term() for p in self.components]

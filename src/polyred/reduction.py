@@ -232,10 +232,12 @@ def verify_theorem_main(F: PolySystem, variant: str) -> dict:
 
     Compares the constant-determinant test on F with the partial test on the
     image, and the invertibility certificate on F with the restricted-inverse
-    test on the image; any verdict disagreement marks the report failed.
+    test on the image; any verdict disagreement marks the report failed, and
+    so does an image from which :func:`is_in_image_of_phi` does not recover F.
     """
     n = F.nvars
     rs = phi(F, variant)
+    recovered = is_in_image_of_phi(rs.system, n, variant)
     lin_src = is_jlin(F)
     lin_img = is_jlin_partial(rs.system, n)
     try:
@@ -251,8 +253,10 @@ def verify_theorem_main(F: PolySystem, variant: str) -> dict:
         "invertible_image": inv_img.verdict,
         "lin_agrees": lin_src.verdict == lin_img.verdict,
         "invertible_agrees": inv_src.verdict == inv_img.verdict,
+        "image_recovered": recovered.in_image and recovered.preimage == F,
     }
-    report["passed"] = report["lin_agrees"] and report["invertible_agrees"]
+    report["passed"] = (report["image_recovered"] and report["lin_agrees"]
+                        and report["invertible_agrees"])
     return report
 
 

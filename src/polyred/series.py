@@ -392,12 +392,14 @@ def enumerate_trees(d: int, max_weight: int) -> Iterator[PlaneTree]:
 
 
 def _amplitudes(w: CouplingTensor,
-                source: Sequence[Polynomial]) -> Callable[[PlaneTree], list[Polynomial]]:
+                source: Sequence[Polynomial]) -> Callable[..., list[Polynomial]]:
     """amp(tree) -> amplitude vector, for one tensor and one source.
 
     Amplitudes are memoised by subtree (a frozen dataclass, so equal subtrees
     share one entry), starting from the leaf's source vector, so each distinct
     subtree is contracted once for as long as the returned function lives.
+    ``amp(tree, keep=False)`` contracts a tree from its memoised children
+    without storing it, for trees that no later call reuses.
     The vertex rules of each in-degree k (root index, per-ordering value and
     distinct index orderings) are read off the tensor once, up front.
     """
@@ -408,7 +410,7 @@ def _amplitudes(w: CouplingTensor,
             (i, w.symmetric_value(k, i, idx), list(distinct_orderings(idx))))
     memo: dict[PlaneTree, list[Polynomial]] = {LEAF: list(source)}
 
-    def amp(t: PlaneTree) -> list[Polynomial]:
+    def amp(t: PlaneTree, keep: bool = True) -> list[Polynomial]:
         got = memo.get(t)
         if got is not None:
             return got
@@ -422,7 +424,8 @@ def _amplitudes(w: CouplingTensor,
                     prod = prod * child_amps[slot][j]
                 contribution = contribution + prod
             out[i] = out[i] + contribution.scale(val)
-        memo[t] = out
+        if keep:
+            memo[t] = out
         return out
 
     return amp
@@ -449,6 +452,8 @@ def tree_oracle_inverse(w: CouplingTensor, order: int,
 
     Every tree is enumerated and contracted at its root, and one amplitude
     memo serves the whole call, so each distinct subtree is contracted once.
+    A tree of weight ``order`` is a subtree of no other tree of the call, so
+    the memo does not keep its amplitude.
     The oracle shares no routine with :func:`formal_inverse_fixed_point`:
     no ``compose_many``, ``truncated_fixed_point`` or graded nonlinearity.
     """
@@ -461,7 +466,7 @@ def tree_oracle_inverse(w: CouplingTensor, order: int,
         trees: dict[int, list[PlaneTree]] = {}
         for r in range(1, order + 1):
             for tree in _trees_of_weight(r, w.max_degree, trees):
-                for i, p in enumerate(amp(tree)):
+                for i, p in enumerate(amp(tree, keep=r < order)):
                     if not p.is_zero():
                         acc[i] = acc[i] + GradedPoly.of_poly(p, order, grade=r)
     return GradedSeriesVector(acc)

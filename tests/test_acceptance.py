@@ -20,7 +20,7 @@ import hashlib
 import random
 from unittest import mock
 
-from polyred import acceptance
+from polyred import acceptance, reduction
 
 
 class _TrackedRandom(random.Random):
@@ -69,6 +69,16 @@ def test_criterion_4_transport_lin():
          "[PASS] 4 reduction transport (determinant side): 110 instances across both variants, "
          "0 disagreements",
          "f706c18287f3f408")
+
+
+def test_criterion_4_counts_an_unrecovered_image(monkeypatch):
+    def refuse(Ft, n, variant):
+        return reduction.ImageCheck(False, detail="refused")
+
+    monkeypatch.setattr(reduction, "is_in_image_of_phi", refuse)
+    result = acceptance.criterion_4_transport_lin(acceptance.DEFAULT_SEED)
+    assert not result.passed
+    assert result.detail == "110 instances across both variants, 110 disagreements"
 
 
 def test_criterion_5_transport_invertibility():

@@ -6,12 +6,9 @@ import pytest
 
 import polyred.elimination
 from polyred.elimination import (
-    AssemblyError,
     BlockNotInvertibleError,
-    assemble_inverse,
     build_H,
     elimination_variety,
-    invert_H_parametrized,
     invert_R,
     invert_trailing_block,
     is_j_partial,
@@ -379,46 +376,26 @@ def test_is_jlin_partial_builds_no_dense_jacobian(monkeypatch):
     assert (v.verdict, str(v.witness)) == (MEMBER, "1-1/2*i")
 
 
-def test_assemble_inverse_triangular():
-    S = PolySystem([z(0) + z(1) ** 2, z(1)])
-    sp = split(S, 1)
-    rinv = invert_R(sp)
-    hinv = invert_H_parametrized(sp, rinv)
-    assert hinv.certified
-    Sinv = assemble_inverse(sp, PolySystem(list(hinv.components), nvars=2), rinv)
-    assert Sinv == PolySystem([z(0) - z(1) ** 2, z(1)])
-    assert_two_sided(S, Sinv)
-
-
-def test_assemble_inverse_identity():
-    S = PolySystem.identity(3)
-    sp = split(S, 1)
-    rinv = invert_R(sp)
-    hinv = invert_H_parametrized(sp, rinv)
-    Sinv = assemble_inverse(sp, PolySystem(list(hinv.components), nvars=3), rinv)
-    assert Sinv == S
-    assert_two_sided(S, Sinv)
-
-
-def test_assemble_inverse_rejects_wrong_candidate():
-    S = PolySystem([z(0) + z(1) ** 2, z(1)])
-    sp = split(S, 1)
-    rinv = invert_R(sp)
-    wrong = PolySystem([z(0) + z(1)], nvars=2)
-    with pytest.raises(AssemblyError):
-        assemble_inverse(sp, wrong, rinv)
-
-
 def test_assemble_inverse_full_two_blocks():
+    """(S^{-1})_1 = H^{-1} and (S^{-1})_2 = R^{-1}(y2; H^{-1}) is a two-sided inverse.
+
+    No library routine assembles the full inverse, so the test does: H^{-1}
+    inverts H(z1; y2) in z1 with y2 as a parameter, taken by swapping y2
+    into the leading (parameter) slot of the block inverter and back.
+    """
     # Interacting invertible system: S = (z1 + (z2 + z1^3)^2, z2 + z1^3).
     # Known inverse: (y1 - y2^2, y2 - (y1 - y2^2)^3).
     S = PolySystem([z(0) + (z(1) + z(0) ** 3) ** 2, z(1) + z(0) ** 3])
     sp = split(S, 1)
     rinv = invert_R(sp)
-    hinv = invert_H_parametrized(sp, rinv)
+    H = build_H(sp, rinv)
+    assert list(H.components) == [z(0) + z(1) ** 2]   # H(z1; y2) = z1 + y2^2
+    swap = [z(1), z(0)]
+    hinv = invert_trailing_block(compose_many(H.components, swap), 2, 1)
     assert hinv.certified
-    assert list(hinv.components) == [z(0) - z(1) ** 2]   # H(z1; y2) = z1 + y2^2
-    Sinv = assemble_inverse(sp, PolySystem(list(hinv.components), nvars=2), rinv)
+    Hinv = compose_many(hinv.components, swap)
+    assert Hinv == [z(0) - z(1) ** 2]
+    Sinv = PolySystem(Hinv + compose_many(rinv.components, Hinv + [z(1)]))
     expected = PolySystem([z(0) - z(1) ** 2, z(1) - (z(0) - z(1) ** 2) ** 3])
     assert Sinv == expected
     assert_two_sided(S, Sinv)
