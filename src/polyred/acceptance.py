@@ -65,9 +65,6 @@ class CheckResult:
     passed: bool
     detail: str = ""
 
-    def line(self) -> str:
-        return f"[{'PASS' if self.passed else 'FAIL'}] {self.name}: {self.detail}"
-
 
 def _series_corpus(seed: int, count: int = 100) -> list[CouplingTensor]:
     rng = random.Random(seed)

@@ -121,7 +121,7 @@ def invert_trailing_block(comps, nvars: int, start: int, cap: int | None = None)
         return PartialInverse((), True, ONE, "empty block")
 
     # Gate: the block Jacobian determinant must be a nonzero constant.
-    detJR = PolyMatrix(block_jacobian(comps, start)).det()
+    detJR = PolyMatrix(block_jacobian(comps, start), nvars).det()
     c_r = detJR.constant_term()
     if not detJR.is_constant() or c_r.is_zero():
         raise BlockNotInvertibleError(
@@ -179,12 +179,13 @@ def schur_identity_check(sp: SplitSystem, rinv: PartialInverse):
 
     if n2 > 0:
         # J_R on the variety is the trailing n2 x n2 block of J_S on it
-        det_r = PolyMatrix([row[n1:] for row in JS.entries[n1:]]).det()
+        det_r = PolyMatrix([{j - n1: p for j, p in row.items() if j >= n1}
+                            for row in JS.rows[n1:]], N).det()
     else:
         det_r = Polynomial.one(N)
 
     if n1 > 0:
-        det_h = PolyMatrix(block_jacobian(build_H(sp, rinv).components, 0)).det()
+        det_h = PolyMatrix(block_jacobian(build_H(sp, rinv).components, 0), N).det()
     else:
         det_h = Polynomial.one(N)
 
@@ -227,7 +228,7 @@ def is_jlin_partial(F: PolySystem, n1: int, cap: int | None = None) -> Membershi
         return MembershipVerdict(MEMBER, witness=rinv.det_jr,
                                  detail=f"Jacobian determinant at R^-1(0) is {rinv.det_jr}")
 
-    restricted = PolyMatrix(block_jacobian(H0, 0)).det().scale(rinv.det_jr)
+    restricted = PolyMatrix(block_jacobian(H0, 0), n1).det().scale(rinv.det_jr)
     if not restricted.is_constant():
         return MembershipVerdict(NON_MEMBER, witness=restricted,
                                  detail="determinant is non-constant on the elimination variety")

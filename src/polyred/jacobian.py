@@ -12,7 +12,7 @@ here too), and relied on everywhere.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Mapping, Sequence
 
 from .poly import Polynomial, PolySystem, block_jacobian, compose_many, det
 # formal_inverse_fixed_point is unused here but stays bound: perfbench's tracer
@@ -37,50 +37,52 @@ class MembershipVerdict:
 
 
 class PolyMatrix:
-    """Rectangular matrix of polynomials over one ring."""
+    """Square matrix of polynomials over one ring, held as sparse rows.
 
-    __slots__ = ("entries", "nrows", "ncols", "nvars")
+    Row i is a {column: nonzero entry} map, as
+    :func:`polyred.poly.block_jacobian` builds it; a missing column is a zero
+    entry.  ``nvars`` names the ring, which an all-zero matrix cannot show.
+    """
 
-    def __init__(self, entries: Sequence[Sequence[Polynomial]]):
-        rows = [list(r) for r in entries]
-        if not rows or not rows[0]:
+    __slots__ = ("rows", "nrows", "nvars")
+
+    def __init__(self, rows: Sequence[Mapping[int, Polynomial]], nvars: int):
+        rows = [{j: p for j, p in r.items() if not p.is_zero()} for r in rows]
+        if not rows:
             raise ValueError("empty matrix")
-        ncols = len(rows[0])
-        nvars = rows[0][0].nvars
+        n = len(rows)
         for r in rows:
-            if len(r) != ncols:
-                raise ValueError("ragged matrix")
-            for p in r:
+            for j, p in r.items():
+                if not 0 <= j < n:
+                    raise ValueError(f"column {j} out of range for a square matrix of {n} rows")
                 if p.nvars != nvars:
                     raise ValueError("matrix entries live in different rings")
-        self.entries = rows
-        self.nrows = len(rows)
-        self.ncols = ncols
+        self.rows = rows
+        self.nrows = n
         self.nvars = nvars
 
     def __getitem__(self, ij):
         i, j = ij
-        return self.entries[i][j]
-
-    def is_square(self) -> bool:
-        return self.nrows == self.ncols
+        return self.rows[i].get(j, Polynomial.zero(self.nvars))
 
     def substitute(self, targets: Sequence[Polynomial]) -> "PolyMatrix":
-        flat = iter(compose_many([p for row in self.entries for p in row], targets))
-        return PolyMatrix([[next(flat) for _ in row] for row in self.entries])
+        keys = [(i, j) for i, r in enumerate(self.rows) for j in r]
+        images = compose_many([self.rows[i][j] for i, j in keys], targets)
+        rows: list[dict[int, Polynomial]] = [{} for _ in self.rows]
+        for (i, j), p in zip(keys, images):
+            rows[i][j] = p
+        return PolyMatrix(rows, targets[0].nvars)
 
     def det(self) -> Polynomial:
-        """Exact determinant by the division-free minor expansion :func:`polyred.poly.det`."""
-        if not self.is_square():
-            raise ValueError("determinant of a non-square matrix")
-        return det(self.entries, Polynomial.zero(self.nvars))
+        """Exact determinant by the library's one routine, :func:`polyred.poly.det`."""
+        return det(self.rows, Polynomial.zero(self.nvars))
 
 
 def jacobian_matrix(F: PolySystem) -> PolyMatrix:
     """Jacobian of a square system; entry (i, j) = dF_j/dz_i."""
     if not F.is_square():
         raise ValueError("Jacobian needs a square system")
-    return PolyMatrix(block_jacobian(F.components, 0))
+    return PolyMatrix(block_jacobian(F.components, 0), F.nvars)
 
 
 def drop_degree_zero(F: PolySystem) -> PolySystem:

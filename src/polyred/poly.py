@@ -14,8 +14,17 @@ Every product of two polynomials runs through one kernel,
 each output term is normalised to a canonical ``Gaussian`` once, and a sum
 that cancels to zero is dropped then, so no zero coefficient is ever stored.
 
-Every Jacobian matrix, or a square block of one, is built by
-:func:`block_jacobian`, and every determinant is taken by :func:`det`.
+A matrix is a list of sparse rows, {column: nonzero entry} maps.  Every
+Jacobian matrix, or a square block of one, is built by :func:`block_jacobian`
+in one pass over the terms.  Every determinant and every linear solve goes
+through one exact elimination, :class:`Elimination`: it pivots on the
+entries that are nonzero constants (unit pivots), records its row
+operations, and leaves a pivot-free remainder.  :func:`det` multiplies the
+pivots by the remainder's division-free minor expansion, and
+:meth:`Elimination.solve` replays the row operations on a right-hand side,
+takes Cramer's rule on the remainder alone and back-substitutes.  The block
+Jacobian of every degree-reduction image is the identity, so its remainder
+is empty.
 
 All values are treated as immutable after construction; operations are pure
 functions and safe to share across threads.
@@ -24,6 +33,8 @@ functions and safe to share across threads.
 from __future__ import annotations
 
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
+from itertools import compress
 from math import gcd
 from operator import add
 from typing import Iterable, Mapping, Sequence
@@ -74,18 +85,20 @@ class Polynomial:
 
     @staticmethod
     def constant(c, nvars: int) -> "Polynomial":
-        return Polynomial(nvars, {(0,) * nvars: Gaussian.coerce(c)})
+        if nvars < 0:
+            raise ValueError("nvars must be non-negative")
+        c = Gaussian.coerce(c)
+        return Polynomial._of(nvars, {} if c.is_zero() else {(0,) * nvars: c})
 
     @staticmethod
     def one(nvars: int) -> "Polynomial":
-        return Polynomial.constant(1, nvars)
+        return Polynomial.constant(ONE, nvars)
 
     @staticmethod
     def variable(i: int, nvars: int) -> "Polynomial":
         if not 0 <= i < nvars:
             raise IndexError(f"variable index {i} out of range for {nvars} variables")
-        exps = tuple(1 if j == i else 0 for j in range(nvars))
-        return Polynomial(nvars, {exps: ONE})
+        return Polynomial._of(nvars, {(0,) * i + (1,) + (0,) * (nvars - i - 1): ONE})
 
     @staticmethod
     def monomial(exps: Sequence[int], c, nvars: int | None = None) -> "Polynomial":
@@ -98,7 +111,8 @@ class Polynomial:
         return not self.terms
 
     def is_constant(self) -> bool:
-        return all(sum(e) == 0 for e in self.terms)
+        # zero, or one term whose exponents are all zero
+        return len(self.terms) <= 1 and not any(next(iter(self.terms), ()))
 
     def constant_term(self) -> Gaussian:
         return self.terms.get((0,) * self.nvars, ZERO)
@@ -414,25 +428,174 @@ def compose_many(polys: Sequence[Polynomial], subs: Sequence[Polynomial],
     return out
 
 
-def det(rows: Sequence[Sequence], zero):
-    """Determinant of a square matrix over a commutative ring, without division.
+class Elimination:
+    """Exact elimination of a square matrix on its unit pivots.
 
-    Entries need ``+``, ``-``, ``*`` and ``is_zero()`` (``Polynomial``,
-    ``GradedPoly``); ``zero`` is returned when the determinant vanishes.  The
-    nonzero minors on the first k rows are kept by column bitmask ``cols`` and
-    each is extended along row k: column j enters with sign
-    (-1)^popcount(cols >> (j+1)), one flip per chosen column to its right.  At
-    most n * 2^(n-1) ring products; zero entries and vanishing minors are skipped.
+    ``rows`` are the sparse rows of an n x n matrix, {column: entry} maps
+    (zero entries are dropped).  Entries need ``+``, ``-``, ``*``,
+    ``scale``, ``is_zero()``, ``is_constant()`` and ``constant_term()``
+    (``Polynomial``, ``GradedPoly``).  A unit pivot is an entry that is a
+    nonzero constant.  Pivots are taken in sparse order, deterministically:
+    among the active rows that hold one, the row with the fewest entries
+    (ties by row index), at its unit whose column has the fewest active
+    entries (ties by column index).  The pivot's column is cleared from the
+    other active rows by row operations, which are recorded, and the pivot
+    row retires with its column.  Rows are reconsidered when fill-in changes
+    them, so a constant that fill-in creates can still become a pivot.
+
+    With rows and columns listed in pivot order, the eliminated matrix is
+    block upper triangular, [[U, X], [0, rest]], and U's diagonal holds the
+    pivots.  So det = sign * (product of the pivots) * det(rest), where sign
+    is that of the two orderings and det(rest) is the division-free minor
+    expansion of the pivot-free remainder, the empty product when every row
+    got a pivot.  ``det`` is that determinant, ``zero`` when it vanishes.
     """
-    n = len(rows)
-    if n == 0 or any(len(r) != n for r in rows):
-        raise ValueError("determinant needs a non-empty square matrix")
-    minors = {1 << j: a for j, a in enumerate(rows[0]) if not a.is_zero()}
+
+    __slots__ = ("det", "zero", "pivots", "ops", "rest", "rest_rows", "rest_cols", "rest_det")
+
+    def __init__(self, rows: Sequence[Mapping], zero):
+        n = len(rows)
+        if n == 0:
+            raise ValueError("determinant needs a non-empty square matrix")
+        work: list[dict] = []
+        cols: list[set[int]] = [set() for _ in range(n)]  # active rows holding each column
+        for i, row in enumerate(rows):
+            kept = {}
+            for j, a in row.items():
+                if not 0 <= j < n:
+                    raise ValueError(f"column {j} out of range for a square matrix of {n} rows")
+                if not a.is_zero():
+                    kept[j] = a
+                    cols[j].add(i)
+            work.append(kept)
+        active = [True] * n
+        heap = [(len(row), i) for i, row in enumerate(work)]
+        heapify(heap)
+        pivots = []  # (row index, column, pivot value, its inverse, the row at pivot time)
+        ops = []     # per pivot: (target row, multiplier m) for target -= m * pivot row
+        while heap:
+            size, r = heappop(heap)
+            row = work[r]
+            if not active[r] or size != len(row):
+                continue  # retired, or changed since it was pushed
+            units = [(len(cols[j]), j) for j, a in row.items() if a.is_constant()]
+            if not units:
+                continue  # pushed again if fill-in changes it
+            c = min(units)[1]
+            p = row[c].constant_term()
+            inv = p.inverse()
+            scaled = inv != ONE
+            step = []
+            for t in sorted(cols[c] - {r}):
+                target = work[t]
+                m = target.pop(c)
+                if scaled:
+                    m = m.scale(inv)
+                for j, a in row.items():
+                    if j == c:
+                        continue
+                    s = target.get(j)
+                    s = -(m * a) if s is None else s - m * a
+                    if s.is_zero():
+                        target.pop(j, None)
+                        cols[j].discard(t)
+                    else:
+                        target[j] = s
+                        cols[j].add(t)
+                step.append((t, m))
+                heappush(heap, (len(target), t))
+            active[r] = False
+            for j in row:
+                cols[j].discard(r)
+            pivots.append((r, c, p, inv, row))
+            ops.append(step)
+
+        # pairing[row] = column: each pivot's, then the remainder's rows and
+        # columns in order; the sign is that permutation's
+        pairing = [0] * n
+        pivot_col = [False] * n
+        factor = ONE
+        for r, c, p, _, _ in pivots:
+            pairing[r] = c
+            pivot_col[c] = True
+            factor = factor * p
+        self.rest_rows = [i for i in range(n) if active[i]]
+        self.rest_cols = [j for j in range(n) if not pivot_col[j]]
+        for i, j in zip(self.rest_rows, self.rest_cols):
+            pairing[i] = j
+        if _is_odd(pairing):
+            factor = -factor
+        position = {j: q for q, j in enumerate(self.rest_cols)}
+        self.rest = [{position[j]: a for j, a in work[i].items()} for i in self.rest_rows]
+        self.zero, self.pivots, self.ops = zero, pivots, ops
+        if self.rest:
+            self.rest_det = _minor_expansion(self.rest, zero)
+            self.det = zero if self.rest_det.is_zero() else self.rest_det.scale(factor)
+        else:
+            # the first pivot entry over its value is the entries' one
+            r, c, _, inv, row = pivots[0]
+            self.rest_det = None
+            self.det = row[c].scale(inv * factor)
+
+    def solve(self, v: Sequence) -> list:
+        """x with M x = v, where M is the eliminated matrix: row i of M is equation i.
+
+        Replays the recorded row operations on ``v``, solves the pivot-free
+        remainder by Cramer's rule through :func:`det`, then back-substitutes
+        through the pivots in reverse.  det M must be a nonzero constant.
+        """
+        if not self.det.is_constant() or self.det.is_zero():
+            raise ValueError("solving needs a determinant that is a nonzero constant")
+        v = list(v)
+        for (r, _, _, _, _), step in zip(self.pivots, self.ops):
+            for t, m in step:
+                v[t] = v[t] - m * v[r]
+        x = [self.zero] * len(v)
+        if self.rest:
+            cinv = self.rest_det.constant_term().inverse()
+            rhs = [v[i] for i in self.rest_rows]
+            for q, j in enumerate(self.rest_cols):
+                replaced = [{k: a for k, a in row.items() if k != q} for row in self.rest]
+                for row, b in zip(replaced, rhs):
+                    row[q] = b
+                x[j] = det(replaced, self.zero).scale(cinv)
+        for r, c, _, inv, row in reversed(self.pivots):
+            acc = v[r]
+            for j, a in row.items():
+                if j != c:
+                    acc = acc - a * x[j]
+            x[c] = acc if inv == ONE else acc.scale(inv)
+        return x
+
+
+def _is_odd(perm: list[int]) -> bool:
+    """Whether the permutation i -> perm[i] is odd (by its cycles)."""
+    seen = [False] * len(perm)
+    odd = False
+    for first in range(len(perm)):
+        length, i = 0, first
+        while not seen[i]:
+            seen[i] = True
+            i = perm[i]
+            length += 1
+        if length and length % 2 == 0:
+            odd = not odd
+    return odd
+
+
+def _minor_expansion(rows: Sequence[Mapping], zero):
+    """Determinant of sparse rows over columns 0..n-1, without division.
+
+    The nonzero minors on the first k rows are kept by column bitmask
+    ``cols`` and each is extended along row k: column j enters with sign
+    (-1)^popcount(cols >> (j+1)), one flip per chosen column to its right.
+    At most n * 2^(n-1) ring products; vanishing minors are dropped.
+    """
+    minors = {1 << j: a for j, a in rows[0].items()}
     for row in rows[1:]:
-        entries = [(j, a) for j, a in enumerate(row) if not a.is_zero()]
         grown: dict = {}
         for cols, m in minors.items():
-            for j, a in entries:
+            for j, a in row.items():
                 if cols >> j & 1:
                     continue
                 term = m * a
@@ -444,17 +607,42 @@ def det(rows: Sequence[Sequence], zero):
                 else:
                     grown[key] = acc - term if negative else acc + term
         minors = {cols: m for cols, m in grown.items() if not m.is_zero()}
-    return minors.get((1 << n) - 1, zero)
+    return minors.get((1 << len(rows)) - 1, zero)
 
 
-def block_jacobian(comps: Sequence[Polynomial], start: int) -> list[list[Polynomial]]:
-    """Square Jacobian block: entry (i, j) = d comps[j] / dz_(start + i).
+def det(rows: Sequence[Mapping], zero):
+    """Determinant of a square matrix of sparse rows over a commutative ring.
+
+    The library's one determinant routine: ± (product of the unit pivots)
+    times the minor expansion of the pivot-free remainder, both from one
+    :class:`Elimination`; ``zero`` is returned when the determinant vanishes.
+    """
+    return Elimination(rows, zero).det
+
+
+def block_jacobian(comps: Sequence[Polynomial], start: int) -> list[dict[int, Polynomial]]:
+    """Square Jacobian block as sparse rows: entry (i, j) = d comps[j] / dz_(start + i).
 
     The library's one Jacobian routine: the row index differentiates, the
-    column index enumerates components.
+    column index enumerates components.  Row i is a {column: nonzero entry}
+    map, built in one pass over the terms, which visits only the block
+    variables that each term contains; a caller that needs a dense row reads
+    it with a zero default.
     """
     n = len(comps)
-    return [[comps[j].partial(start + i) for j in range(n)] for i in range(n)]
+    if not n:
+        return []
+    nv = comps[0].nvars
+    if start < 0 or start + n > nv:
+        raise IndexError(f"block {start}..{start + n - 1} out of range for {nv} variables")
+    rows: list[dict[int, dict]] = [{} for _ in range(n)]
+    for j, p in enumerate(comps):
+        for exps, c in p.terms.items():
+            for i in compress(range(n), exps[start:start + n]):
+                k = start + i
+                e = exps[k]
+                rows[i].setdefault(j, {})[exps[:k] + (e - 1,) + exps[k + 1:]] = c * e
+    return [{j: Polynomial._of(nv, terms) for j, terms in row.items()} for row in rows]
 
 
 def exact_div(num: Polynomial, den: Polynomial) -> Polynomial:

@@ -99,7 +99,9 @@ def euler_weighted_gradient(F: PolySystem) -> list[list[Polynomial]]:
     """
     weighted = [Polynomial(F.nvars, {e: c / sum(e) for e, c in p.terms.items() if any(e)})
                 for p in F.components]
-    return [list(col) for col in zip(*block_jacobian(weighted, 0))]
+    J = block_jacobian(weighted, 0)
+    zero = Polynomial.zero(F.nvars)
+    return [[row.get(i, zero) for row in J] for i in range(F.nvars)]
 
 
 def phi_algebraic(F: PolySystem) -> ReducedSystem:
@@ -144,9 +146,10 @@ def phi_qft(w: CouplingTensor) -> CouplingTensor:
             entries[(2, i, t)] = ONE
     inv_d = Gaussian(Fraction(1, d))
     slices = block_jacobian([w.coupling_poly(i, d).scale(inv_d) for i in range(n)], 0)
+    zero = Polynomial.zero(n)
     for i in range(n):
         for j in range(n):
-            for exps, c in slices[j][i].terms.items():
+            for exps, c in slices[j].get(i, zero).terms.items():
                 entries[(d - 1, aux_index(n, i, j), tuple_of_exps(exps))] = c
     return CouplingTensor(N, d - 1, entries)
 
@@ -279,7 +282,8 @@ def reduced_inverse_check(w: CouplingTensor, order: int) -> dict:
     theta_wd = Polynomial.monomial((0,) * n + (d - 2,), Gaussian(Fraction(1, d)))
     JWd = block_jacobian([w.coupling_poly(i, d).lift(n + 1) * theta_wd for i in range(n)], 0)
     # auxiliary slot (i, j) is component n + i*n + j, and JWd[j][i] differentiates W_d,i by z_j
-    expected = compose_many([JWd[j][i] for i in range(n) for j in range(n)],
+    zero = Polynomial.zero(n + 1)
+    expected = compose_many([JWd[j].get(i, zero) for i in range(n) for j in range(n)],
                             [g.poly for g in G.components] + [Polynomial.variable(n, n + 1)],
                             order, n)
     aux_ok = [g.poly for g in Gt.components[n:]] == expected

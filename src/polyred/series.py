@@ -26,9 +26,10 @@ and the identity Z * det J_F(G) = 1 are provided on the same grading.
 
 :func:`truncated_block_inverse` normalizes a block system by its
 block-linear part, read off with :func:`polyred.poly.block_jacobian` and
-solved by Cramer's rule through :func:`polyred.poly.det`, runs the same loop
-and certifies the result by one forward composition; block inversion in :mod:`polyred.elimination` and
-invertibility certification in :mod:`polyred.jacobian` both go through it.
+solved by one :class:`polyred.poly.Elimination` on its unit pivots, runs the
+same loop and certifies the result by one forward composition; block
+inversion in :mod:`polyred.elimination` and invertibility certification in
+:mod:`polyred.jacobian` both go through it.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ from typing import Callable, Iterator, Sequence
 
 from .couplings import CouplingTensor, distinct_orderings
 from .gaussian import Gaussian
-from .poly import Polynomial, block_jacobian, compose_many, det
+from .poly import Elimination, Polynomial, block_jacobian, compose_many, det
 
 
 class GradedPoly:
@@ -90,6 +91,12 @@ class GradedPoly:
 
     def is_zero(self) -> bool:
         return self.poly.is_zero()
+
+    def is_constant(self) -> bool:
+        return self.poly.is_constant()
+
+    def constant_term(self) -> Gaussian:
+        return self.poly.constant_term()
 
     def min_grade(self) -> int | None:
         return min((e[-1] for e in self.poly.terms), default=None)
@@ -226,14 +233,17 @@ def truncated_block_inverse(comps: Sequence[Polynomial], nvars: int, start: int,
     coefficients are polynomials in the leading ``start`` parameters.  Write
     R = b0 + A^T z + h with h of block degree >= 2: b0 is R's block-degree-0
     part, and A is the block Jacobian of R's block-linear part, so
-    A[i][j] = dR_j/dz_(start+i) at z = 0.  det A must be a nonzero constant,
-    so A^T x = v is solved polynomially by Cramer's rule through
-    :func:`polyred.poly.det`: x_i = (-1)^(nb-1-i) det(A without row i, then v
-    as the last row) / det A.  Then solving A^T x = R - b0 gives y - W with
-    W = -A^{-T} h, :func:`truncated_fixed_point` gives its truncated inverse
-    Q, and the candidate P is Q(params, x) with A^T x = y - b0 (an affine R
-    has W = 0).  Returns (Q, P, exact).  Raises :class:`LinearPartError` when
-    det A is not a nonzero constant.
+    A[i][j] = dR_j/dz_(start+i) at z = 0.  One :class:`polyred.poly.Elimination`
+    of A^T, whose row j is the equation of component j, gives det A and
+    solves A^T x = v polynomially: it pivots on the constant entries, replays
+    its row operations on v, takes Cramer's rule on the pivot-free remainder
+    only and back-substitutes.  det A must be a nonzero constant, so the
+    remainder's determinant is one too.  For every degree-reduction image A
+    is the identity and the remainder is empty.  Solving A^T x = R - b0 gives
+    y - W with W = -A^{-T} h, :func:`truncated_fixed_point` gives its
+    truncated inverse Q, and the candidate P is Q(params, x) with
+    A^T x = y - b0 (an affine R has W = 0).  Returns (Q, P, exact).  Raises
+    :class:`LinearPartError` when det A is not a nonzero constant.
 
     ``exact`` is the one certification every inverse in the library gets:
     the forward composition R(params, P) == y, identically in (params, y).
@@ -247,22 +257,19 @@ def truncated_block_inverse(comps: Sequence[Polynomial], nvars: int, start: int,
     nb = nvars - start
     A = block_jacobian([p.homogeneous_part(1, start) for p in comps], start)
     b0 = [p.homogeneous_part(0, start) for p in comps]
-    zero = Polynomial.zero(nvars)
-    detA = det(A, zero)
-    if not detA.is_constant() or detA.constant_term().is_zero():
+    equations: list[dict[int, Polynomial]] = [{} for _ in range(nb)]
+    for i, row in enumerate(A):
+        for j, a in row.items():
+            equations[j][i] = a
+    elim = Elimination(equations, Polynomial.zero(nvars))
+    if not elim.det.is_constant() or elim.det.is_zero():
         raise LinearPartError("linear part of the system is singular")
-    cinv = detA.constant_term().inverse()
-
-    def solve(v):
-        # moving row i of A to the bottom takes nb - 1 - i row swaps
-        return [det(A[:i] + A[i + 1:] + [v], zero).scale(cinv if (nb - 1 - i) % 2 == 0 else -cinv)
-                for i in range(nb)]
 
     y = [Polynomial.variable(start + i, nvars) for i in range(nb)]
     params = [Polynomial.variable(i, nvars) for i in range(start)]
-    W = [yi - xi for yi, xi in zip(y, solve([r - b for r, b in zip(comps, b0)]))]
+    W = [yi - xi for yi, xi in zip(y, elim.solve([r - b for r, b in zip(comps, b0)]))]
     Q = truncated_fixed_point(W, nvars, start, cap)
-    P = compose_many(Q, params + solve([yi - b for yi, b in zip(y, b0)]))
+    P = compose_many(Q, params + elim.solve([yi - b for yi, b in zip(y, b0)]))
     return Q, P, compose_many(comps, params + P) == y
 
 
@@ -484,7 +491,8 @@ def _curvature_matrix(w: CouplingTensor, G: GradedSeriesVector) -> list[list[Gra
     n, nv = w.dims, G.nvars
     theta = Polynomial.variable(nv, nv + 1)
     JW = block_jacobian(w.graded_nonlinearity(), 0)
-    flat = iter(compose_many([e for row in JW for e in row],
+    zero = Polynomial.zero(n + 1)
+    flat = iter(compose_many([row.get(j, zero) for row in JW for j in range(n)],
                              [g.poly for g in G.components] + [theta], G.order, nv))
     return [[GradedPoly(G.order, nv, next(flat)) for _ in range(n)] for _ in range(n)]
 
@@ -537,7 +545,7 @@ def det_jacobian_on_inverse(w: CouplingTensor, order: int,
     M = _curvature_matrix(w, G)
     n = w.dims
     one = GradedPoly.one(order, G.nvars)
-    J = [[(one - M[i][j]) if i == j else -M[i][j] for j in range(n)] for i in range(n)]
+    J = [{j: (one - M[i][j]) if i == j else -M[i][j] for j in range(n)} for i in range(n)]
     return det(J, GradedPoly.zero(order, G.nvars))
 
 

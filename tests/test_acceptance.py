@@ -33,13 +33,17 @@ class _TrackedRandom(random.Random):
         _TrackedRandom.made.append(self)
 
 
+def _line(result):
+    return f"[{'PASS' if result.passed else 'FAIL'}] {result.name}: {result.detail}"
+
+
 def _run(fn, line, streams):
     _TrackedRandom.made = []
     with mock.patch.object(random, "Random", _TrackedRandom):
         result = fn(acceptance.DEFAULT_SEED)
-    print(result.line())
+    print(_line(result))
     assert result.passed, result.detail
-    assert result.line() == line
+    assert _line(result) == line
     states = repr([r.getstate() for r in _TrackedRandom.made]).encode()
     assert hashlib.sha256(states).hexdigest()[:16] == streams
     return result

@@ -14,7 +14,7 @@ from sympy import I, Matrix, Poly, Rational, cancel, diff, expand, symbols, symp
 
 from polyred.gaussian import Gaussian
 from polyred.poly import Polynomial, compose_many, det
-from polyred.series import truncated_block_inverse
+from polyred.series import GradedPoly, truncated_block_inverse
 
 NVARS = 2
 GENS = symbols(f"z1:{NVARS + 1}")
@@ -67,12 +67,28 @@ def over_qq_i(expr) -> Poly:
     return Poly(expand(expr), *GENS, domain="QQ_I")
 
 
+def sparse(rows):
+    return [{j: a for j, a in enumerate(row) if not a.is_zero()} for row in rows]
+
+
 @settings(deadline=None)
 @given(square_matrices())
 def test_det_matches_sympy(rows):
     sym = Matrix([[to_sympy(p) for p in row] for row in rows])
     expected = over_qq_i(sym.det(method="berkowitz"))
-    assert over_qq_i(to_sympy(det(rows, Polynomial.zero(NVARS)))) == expected
+    assert over_qq_i(to_sympy(det(sparse(rows), Polynomial.zero(NVARS)))) == expected
+
+
+def test_unit_pivot_det_matches_sympy(pivot_matrices):
+    # a graded entry is one polynomial in (z, theta), cut above its order in theta
+    for label, rows, zero, _ in pivot_matrices:
+        graded = isinstance(zero, GradedPoly)
+        value = (lambda e: to_sympy(e.poly)) if graded else to_sympy
+        sym = Matrix([[value(e) for e in row] for row in rows])
+        expected = over_qq_i(sym.det(method="berkowitz"))
+        if graded:
+            expected = cut(expected, zero.order, 1)
+        assert over_qq_i(value(det(sparse(rows), zero))) == expected, label
 
 
 def cut(poly: Poly, max_degree, start) -> Poly:

@@ -17,7 +17,8 @@ from polyred.jacobian import (
     jacobian_matrix,
 )
 from polyred.io import read_system
-from polyred.poly import Polynomial, PolySystem, det
+from polyred.poly import Elimination, Polynomial, PolySystem, compose_many, det
+from polyred.series import truncated_block_inverse
 from polyred.samples import (
     curated_invertible_pairs,
     random_couplings,
@@ -54,24 +55,27 @@ def test_jacobian_requires_square():
         jacobian_matrix(PolySystem([z(0)], nvars=2))
 
 
+def sparse(rows):
+    return [{j: a for j, a in enumerate(row) if not a.is_zero()} for row in rows]
+
+
 def test_det_triangular_and_identity():
-    I3 = PolyMatrix([[P.one(3) if i == j else P.zero(3) for j in range(3)]
-                     for i in range(3)])
+    I3 = PolyMatrix([{i: P.one(3)} for i in range(3)], 3)
     assert I3.det() == P.one(3)
 
 
-def _permanent_style_det(rows):
+def _permanent_style_det(rows, zero=None, one=None):
     # Leibniz expansion: an independent oracle for small determinants.
     n = len(rows)
     from itertools import permutations
-    acc = P.zero(rows[0][0].nvars)
+    acc = P.zero(rows[0][0].nvars) if zero is None else zero
     for perm in permutations(range(n)):
         sign = 1
         seen = list(perm)
         # count inversions for the signature
         inv = sum(1 for a in range(n) for b in range(a + 1, n) if seen[a] > seen[b])
         sign = -1 if inv % 2 else 1
-        term = P.one(rows[0][0].nvars)
+        term = P.one(rows[0][0].nvars) if one is None else one
         for i in range(n):
             term = term * rows[i][perm[i]]
         acc = acc + term if sign > 0 else acc - term
@@ -97,15 +101,127 @@ def test_det_matches_leibniz(rng):
             if trial == 0:
                 rows[rng.randrange(size)] = [P.zero(3)] * size
             expected = _permanent_style_det(rows)
-            assert PolyMatrix(rows).det() == expected
-            assert det(rows, P.zero(3)) == expected
+            assert PolyMatrix(sparse(rows), 3).det() == expected
+            assert det(sparse(rows), P.zero(3)) == expected
 
 
 def test_det_zero_column():
     rows = [[P.zero(1), P.one(1), P.one(1)],
             [P.zero(1), P.variable(0, 1), P.one(1)],
             [P.zero(1), P.one(1), P.variable(0, 1)]]
-    assert PolyMatrix(rows).det().is_zero()
+    assert PolyMatrix(sparse(rows), 1).det().is_zero()
+
+
+def test_unit_pivot_det_matches_leibniz(pivot_matrices):
+    kinds = set()
+    for label, rows, zero, one in pivot_matrices:
+        kinds.add(label.split(" n=")[0])
+        assert det(sparse(rows), zero) == _permanent_style_det(rows, zero, one), label
+    assert len(kinds) == 6
+
+
+def test_unit_pivot_elimination_paths():
+    x, y = P.variable(0, 2), P.variable(1, 2)
+    zero, one = P.zero(2), P.one(2)
+    # pivot (0, 0) clears column 0 from row 1, whose column-1 fill-in cancels to zero
+    rows = [[one, x, zero], [y, x * y, one], [zero, one, x]]
+    elim = Elimination(sparse(rows), zero)
+    assert elim.pivots[0][:2] == (0, 0) and elim.ops[0][0][0] == 1
+    assert elim.rest == [] and elim.det == _permanent_style_det(rows)
+    # no constant entry: everything is the remainder
+    rows = [[x, y], [y + x, x * x]]
+    elim = Elimination(sparse(rows), zero)
+    assert elim.pivots == [] and elim.rest_rows == [0, 1]
+    assert elim.det == _permanent_style_det(rows)
+    # fill-in creates the constant that becomes the second pivot
+    rows = [[one, x], [x, x * x + 3]]
+    elim = Elimination(sparse(rows), zero)
+    assert len(elim.pivots) == 2 and elim.rest == [] and elim.det == P.constant(3, 2)
+    # a singular constant matrix empties a row of the remainder
+    rows = [[one, P.constant(2, 2)], [P.constant(-3, 2), P.constant(-6, 2)]]
+    assert det(sparse(rows), zero).is_zero()
+    with pytest.raises(ValueError):
+        det([{2: one}, {0: one}], zero)
+    with pytest.raises(ValueError):
+        det([], zero)
+
+
+def _cramer(rows, v, zero, one):
+    # x with rows * x = v by plain Cramer's rule over the Leibniz determinant
+    n = len(rows)
+    d = _permanent_style_det(rows, zero, one)
+    assert d.is_constant() and not d.is_zero()
+    cinv = d.constant_term().inverse()
+    return [_permanent_style_det([row[:i] + [b] + row[i + 1:] for row, b in zip(rows, v)],
+                                 zero, one).scale(cinv) for i in range(n)]
+
+
+def _parametric_blocks(rng):
+    """Square blocks M(s) over the ring of one parameter s with det M a nonzero constant.
+
+    Seeded ones are a constant diagonal times random shears whose multipliers
+    are polynomials in s; then one block without a unit pivot, and the
+    non-triangular 3x3 linear part of ``test_elimination.py``.
+    """
+    s, zero = P.variable(0, 1), P.zero(1)
+    blocks = []
+    for nb in (1, 2, 2, 3, 3, 4):
+        M = [[P.constant(rng.choice((1, -1, Q(0, 1), Q(2), Q("-1/2", 1))), 1) if i == j
+              else zero for j in range(nb)] for i in range(nb)]
+        for _ in range(rng.randint(1, 4) if nb > 1 else 0):
+            a, b = rng.sample(range(nb), 2)
+            m = s ** rng.randint(0, 2) * rng.choice((1, -1, 2)) + rng.choice((0, 1))
+            M[a] = [p + m * q for p, q in zip(M[a], M[b])]
+        blocks.append(M)
+    blocks.append([[s + 1, s], [s, s - 1]])  # det -1, no constant entry
+    blocks.append(_non_triangular_block())
+    return blocks
+
+
+def _non_triangular_block():
+    s, u, v, w = (P.variable(i, 4) for i in range(4))
+    c = Q(0, 2)
+
+    def after(outer, inner):
+        return compose_many(outer, [s] + inner)
+
+    R = after([u, v, w + s * u + 1],
+              after([u, v + s * w + u ** 2, w], after([u + s * v, v, w], [u.scale(c), v, w])))
+    # equation j is component j, so row j holds dR_j/dz_(1+i), a polynomial in s
+    return [[R[j].homogeneous_part(1, 1).partial(1 + i).restrict(1) for i in range(3)]
+            for j in range(3)]
+
+
+def test_unit_pivot_solve_matches_cramer(rng):
+    blocks = _parametric_blocks(rng)
+    assert not any(p.is_constant() for row in blocks[-2] for p in row)
+    assert any(not p.is_constant() for row in blocks[-1] for p in row)
+    for block in blocks:
+        nv = len(block) + 1
+        M = [[p.lift(nv) for p in row] for row in block]
+        zero, one = P.zero(nv), P.one(nv)
+        elim = Elimination(sparse(M), zero)
+        assert elim.det == _permanent_style_det(M, zero, one)
+        for _ in range(2):
+            v = [P(nv, {tuple(rng.randint(0, 2) for _ in range(nv)): Q(rng.randint(-3, 3), 1)})
+                 for _ in M]
+            x = elim.solve(v)
+            assert x == _cramer(M, v, zero, one)
+            assert [sum((a * xi for a, xi in zip(row, x)), zero) for row in M] == v
+
+
+def test_truncated_block_inverse_solves_like_cramer(rng):
+    # the affine block R = M(s) z + b0 has the inverse x with M x = y - b0
+    for block in _parametric_blocks(rng):
+        nb = len(block)
+        nv = nb + 1
+        M = [[p.lift(nv) for p in row] for row in block]
+        z = [P.variable(1 + i, nv) for i in range(nb)]
+        b0 = [P.variable(0, nv) ** (j + 1) for j in range(nb)]
+        R = [sum((a * zi for a, zi in zip(row, z)), b) for row, b in zip(M, b0)]
+        Q_, P_, exact = truncated_block_inverse(R, nv, 1, 2)
+        assert exact and Q_ == z
+        assert P_ == _cramer(M, [zi - b for zi, b in zip(z, b0)], P.zero(nv), P.one(nv))
 
 
 def test_is_jlin_examples():

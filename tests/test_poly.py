@@ -193,12 +193,12 @@ def test_exact_div():
         exact_div(z(0), P.zero(2))
 
 
-def test_evaluate_and_scale_vars():
+def test_scale_vars():
     p = z(0) ** 2 - z(1)
     assert p.scale_vars([Q(2), Q(4)]) == P.monomial((2, 0), 4) - P.monomial((0, 1), 4)
 
 
-def test_lift_restrict_permute():
+def test_lift_restrict():
     p = z(0) * z(1)
     lifted = p.lift(4, offset=1)
     assert lifted == P.monomial((0, 1, 1, 0), 1)

@@ -1,4 +1,7 @@
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -316,6 +319,30 @@ def test_reduce_to_quadratic_driver():
     stages = reduce_to_quadratic(F)
     assert [s.system.degree_bound for s in stages] == [3, 2]
     assert stages[-1].system.nvars == 6  # 1 -> 2 -> 6
+
+
+def test_single_stage_check_at_n1806_under_a_memory_limit():
+    # The third stage of (z1 + z2^5, z2) lives on N = 1806 variables, and its
+    # trailing block of 1764 auxiliaries has the identity as block Jacobian.
+    # A single-level check of a stage k >= 2 image answers non_member; in a
+    # subprocess capped at 3 GB of address space it must answer in time.
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    code = ("import resource\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (3 << 30, 3 << 30))\n"
+            "from polyred.elimination import is_jlin_partial\n"
+            "from polyred.poly import Polynomial, PolySystem\n"
+            "from polyred.reduction import reduce_to_quadratic\n"
+            "z1, z2 = Polynomial.variable(0, 2), Polynomial.variable(1, 2)\n"
+            "stages = reduce_to_quadratic(PolySystem([z1 + z2 ** 5, z2]))\n"
+            "print([s.system.nvars for s in stages])\n"
+            "v = is_jlin_partial(stages[2].system, 42)\n"
+            "print(v.verdict)\n"
+            "print(v.detail)\n")
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src}, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines() == [
+        "[6, 42, 1806]", "non_member", "determinant is non-constant on the elimination variety"]
 
 
 # -- Jacobian slices against the entry-by-entry loop formulas --------------------
