@@ -11,24 +11,24 @@ H(z1; y2) = S_1(z1, R^{-1}(y2; z1)) carries all remaining information:
   so with the constant det J_R of the block gate, the constant-determinant
   test on the variety is one n1 x n1 determinant of H(.; 0);
 * S has a polynomial inverse on the y2 = 0 slice exactly when H(.; 0) does.
-  The library certifies that restricted inverse (:func:`is_j_partial`); it
-  no longer assembles the full inverse (S^{-1})_1 = H^{-1},
-  (S^{-1})_2 = R^{-1}(y2; H^{-1}) from a parameter-aware inverse of H.
+  The library certifies that restricted inverse (:func:`is_j_partial`), not
+  the full inverse (S^{-1})_1 = H^{-1}, (S^{-1})_2 = R^{-1}(y2; H^{-1}).
 
 Variable bookkeeping: everything stays in one ambient ring of N variables.
 In inputs the trailing block means z2; in block inverses and in H the
 trailing block means y2.  Identities are checked as exact polynomial
 identities in (z1, y2), never pointwise.
 
-Deciding "R invertible for all z1" takes two steps.  A non-constant det J_R
-(with respect to the block) is an immediate exact non-membership witness.
-Otherwise :func:`polyred.series.truncated_block_inverse` normalizes R by its
-block-linear part, runs the library's one fixed-point loop cut at a
-block-degree cap (an affine block needs no rounds), and certifies the
-candidate by one exact forward composition R(z1, R^{-1}(y2; z1)) = y2; the
-lemma in its docstring shows the other direction follows.  A certification
-failure at a cap at least d2^(n2-1) (d2 the block degree) is conclusive,
-below the cap the outcome is reported undetermined, never guessed.
+Deciding "R invertible for all z1" takes two steps.  The gate: a det J_R
+(with respect to the block) that is not a nonzero constant is an exact
+non-membership witness; when R is affine in its block, J_R equals its
+block-linear part A, and the elimination of A^T that solves below is the
+gate.  Then :func:`polyred.series.truncated_block_inverse` normalizes R by
+A, runs the library's one fixed-point loop cut at a block-degree cap (an
+affine block needs no rounds), and certifies the candidate by one exact
+forward composition R(z1, R^{-1}(y2; z1)) = y2; the lemma in its docstring
+shows the other direction follows.  A certification failure at a cap at
+least d2^(n2-1) (d2 the block degree) is conclusive, below it undetermined.
 """
 
 from __future__ import annotations
@@ -49,6 +49,10 @@ from .jacobian import (
 )
 from .poly import Polynomial, PolySystem, block_jacobian, compose_many
 from .series import truncated_block_inverse
+
+
+_SINGULAR_BLOCK = ("block Jacobian determinant is not a nonzero constant "
+                   "(the block is singular for some parameter value)")
 
 
 class BlockNotInvertibleError(ValueError):
@@ -95,7 +99,7 @@ class PartialInverse:
 
     components: tuple[Polynomial, ...]
     certified: bool
-    det_jr: Gaussian  # the nonzero constant det J_R that the block gate certified
+    det_jr: Gaussian  # the gate's nonzero constant det J_R, equal to the solve's det A
     detail: str = ""
 
 
@@ -109,10 +113,12 @@ def invert_trailing_block(comps, nvars: int, start: int, cap: int | None = None)
     The leading ``start`` variables are parameters.  In the returned
     components the trailing variables are the target coordinates y.
     Raises :class:`BlockNotInvertibleError` on an exact non-invertibility
-    witness (non-constant or vanishing block Jacobian determinant).  The
-    candidate is certified by the forward composition that
-    :func:`polyred.series.truncated_block_inverse` checks; its docstring
-    shows why that makes it a two-sided inverse.
+    witness, a det J_R that is not a nonzero constant: found by eliminating
+    J_R when the block degree is >= 2, else carried by the solve's
+    :class:`LinearPartError`, as J_R = A.  ``det_jr`` is the solve's det A,
+    which is det J_R at z2 = 0.  The candidate is certified by the forward
+    composition that :func:`polyred.series.truncated_block_inverse` checks;
+    its docstring shows why that makes it a two-sided inverse.
     """
     nb = nvars - start
     if len(comps) != nb:
@@ -120,27 +126,27 @@ def invert_trailing_block(comps, nvars: int, start: int, cap: int | None = None)
     if nb == 0:
         return PartialInverse((), True, ONE, "empty block")
 
-    # Gate: the block Jacobian determinant must be a nonzero constant.
-    detJR = PolyMatrix(block_jacobian(comps, start), nvars).det()
-    c_r = detJR.constant_term()
-    if not detJR.is_constant() or c_r.is_zero():
-        raise BlockNotInvertibleError(
-            "block Jacobian determinant is not a nonzero constant "
-            "(the block is singular for some parameter value)", detJR)
-
     block_deg = max(p.block_degree(start, nvars) for p in comps)
+    if block_deg > 1:
+        # J_R is not A, so it answers the gate before any fixed-point round
+        detJR = PolyMatrix(block_jacobian(comps, start), nvars).det()
+        if not detJR.is_constant() or detJR.is_zero():
+            raise BlockNotInvertibleError(_SINGULAR_BLOCK, detJR)
     bound = classical_degree_cap(block_deg, nb)
     used_cap = bound if cap is None else cap
-    _, rinv, exact = truncated_block_inverse(comps, nvars, start, used_cap)
+    try:
+        _, rinv, exact, det_a = truncated_block_inverse(comps, nvars, start, used_cap)
+    except LinearPartError as err:
+        raise BlockNotInvertibleError(_SINGULAR_BLOCK, err.det) from None
     if exact:
-        return PartialInverse(tuple(rinv), True, c_r,
+        return PartialInverse(tuple(rinv), True, det_a.constant_term(),
                               f"exact block inverse (cap {used_cap})")
     if used_cap >= bound:
         raise BlockNotInvertibleError(
             f"no polynomial block inverse exists: certification fails at cap {used_cap} "
             f">= d2^(n2-1) = {bound} (imported classical degree bound)",
-            detJR)
-    return PartialInverse(tuple(rinv), False, c_r,
+            det_a)
+    return PartialInverse(tuple(rinv), False, det_a.constant_term(),
                           f"certification failed at cap {used_cap} < bound {bound}; undetermined")
 
 
@@ -166,8 +172,8 @@ def elimination_variety(sp: SplitSystem, rinv: PartialInverse) -> list[Polynomia
 def schur_identity_check(sp: SplitSystem, rinv: PartialInverse):
     """Verify det J_S(z1, R^{-1}(y2; z1)) = det J_R * det J_H in (z1, y2).
 
-    Returns (ok, difference); the difference polynomial is the witness when
-    the identity fails.
+    Returns (ok, difference), the difference witnessing a failure.  det J_R
+    is read off J_S, not ``rinv.det_jr``: this is the independent check on it.
     """
     if not rinv.certified:
         raise ValueError("the Schur identity check needs a certified block inverse")

@@ -137,7 +137,7 @@ def certify_polynomial_inverse(F: PolySystem, degree_cap: int | None = None) -> 
                                  detail="empty system is trivially invertible")
     bound = classical_degree_cap(F.degree(), n)
     cap = bound if degree_cap is None else degree_cap
-    Q, candidate, exact = truncated_block_inverse(F.components, n, 0, cap)
+    Q, candidate, exact, _ = truncated_block_inverse(F.components, n, 0, cap)
     note = (f"degree cap {cap}; classical bound d^(n-1) = {bound} "
             f"(imported background result, not derived here)")
     if exact:

@@ -203,7 +203,11 @@ class GradedSeriesVector:
 
 
 class LinearPartError(ValueError):
-    """The linear part of the system is not invertible."""
+    """The linear part of the system is not invertible; ``det`` is its determinant."""
+
+    def __init__(self, message: str, det: Polynomial):
+        super().__init__(message)
+        self.det = det
 
 
 def truncated_fixed_point(W: Sequence[Polynomial], nvars: int, start: int,
@@ -226,7 +230,7 @@ def truncated_fixed_point(W: Sequence[Polynomial], nvars: int, start: int,
 
 
 def truncated_block_inverse(comps: Sequence[Polynomial], nvars: int, start: int,
-                            cap: int) -> tuple[list[Polynomial], list[Polynomial], bool]:
+                            cap: int) -> tuple[list[Polynomial], list[Polynomial], bool, Polynomial]:
     """Candidate inverse of a block system R, truncated at block degree ``cap``, and its check.
 
     R has one component per variable from index ``start`` on; its
@@ -237,13 +241,13 @@ def truncated_block_inverse(comps: Sequence[Polynomial], nvars: int, start: int,
     of A^T, whose row j is the equation of component j, gives det A and
     solves A^T x = v polynomially: it pivots on the constant entries, replays
     its row operations on v, takes Cramer's rule on the pivot-free remainder
-    only and back-substitutes.  det A must be a nonzero constant, so the
-    remainder's determinant is one too.  For every degree-reduction image A
-    is the identity and the remainder is empty.  Solving A^T x = R - b0 gives
-    y - W with W = -A^{-T} h, :func:`truncated_fixed_point` gives its
-    truncated inverse Q, and the candidate P is Q(params, x) with
-    A^T x = y - b0 (an affine R has W = 0).  Returns (Q, P, exact).  Raises
-    :class:`LinearPartError` when det A is not a nonzero constant.
+    only and back-substitutes.  det A must be a nonzero constant (else
+    :class:`LinearPartError` carries it), so the remainder's determinant is
+    one too.  For every degree-reduction image A is the identity and the
+    remainder is empty.  Solving A^T x = R - b0 gives y - W with
+    W = -A^{-T} h, :func:`truncated_fixed_point` gives its truncated inverse
+    Q, and the candidate P is Q(params, x) with A^T x = y - b0 (an affine R
+    has W = 0).  Returns (Q, P, exact, det A).
 
     ``exact`` is the one certification every inverse in the library gets:
     the forward composition R(params, P) == y, identically in (params, y).
@@ -263,14 +267,14 @@ def truncated_block_inverse(comps: Sequence[Polynomial], nvars: int, start: int,
             equations[j][i] = a
     elim = Elimination(equations, Polynomial.zero(nvars))
     if not elim.det.is_constant() or elim.det.is_zero():
-        raise LinearPartError("linear part of the system is singular")
+        raise LinearPartError("linear part of the system is singular", elim.det)
 
     y = [Polynomial.variable(start + i, nvars) for i in range(nb)]
     params = [Polynomial.variable(i, nvars) for i in range(start)]
     W = [yi - xi for yi, xi in zip(y, elim.solve([r - b for r, b in zip(comps, b0)]))]
     Q = truncated_fixed_point(W, nvars, start, cap)
     P = compose_many(Q, params + elim.solve([yi - b for yi, b in zip(y, b0)]))
-    return Q, P, compose_many(comps, params + P) == y
+    return Q, P, compose_many(comps, params + P) == y, elim.det
 
 
 def formal_inverse_fixed_point(w: CouplingTensor, order: int,

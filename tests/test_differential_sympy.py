@@ -180,7 +180,7 @@ def test_affine_block_inverse_matches_sympy(block, cap):
     gens = symbols(f"z1:{nv + 1}")
     z = [Polynomial.variable(1 + i, nv) for i in range(nb)]
     R = [sum((M[j][i] * z[i] for i in range(nb)), b0[j]) for j in range(nb)]
-    Q, P, exact = truncated_block_inverse(R, nv, 1, cap)
+    Q, P, exact, _ = truncated_block_inverse(R, nv, 1, cap)
     assert exact and Q == z
     target = Matrix([g - to_sympy(b, gens) for g, b in zip(gens[1:], b0)])
     expected = Matrix([[to_sympy(e, gens) for e in row] for row in M]).inv() * target

@@ -141,7 +141,7 @@ def test_invert_trailing_block_parametric_non_triangular_linear_part():
     assert rinv.certified and rinv.detail == "exact block inverse (cap 4)"
     assert list(rinv.components) == Rinv
     assert_two_sided_block_inverse(R, rinv.components, 4, 1)
-    _, P2, exact = truncated_block_inverse(R, 4, 1, 2)
+    _, P2, exact, _ = truncated_block_inverse(R, 4, 1, 2)
     assert exact and P2 == Rinv
 
 
@@ -376,7 +376,7 @@ def test_is_jlin_partial_builds_no_dense_jacobian(monkeypatch):
     assert (v.verdict, str(v.witness)) == (MEMBER, "1-1/2*i")
 
 
-def test_assemble_inverse_full_two_blocks():
+def test_full_inverse_from_two_block_inverses():
     """(S^{-1})_1 = H^{-1} and (S^{-1})_2 = R^{-1}(y2; H^{-1}) is a two-sided inverse.
 
     No library routine assembles the full inverse, so the test does: H^{-1}

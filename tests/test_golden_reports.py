@@ -30,6 +30,9 @@ CASES = [
     ("partial1_lin_nonmember", "check-partial nonmember.json --n1 1 --lin", 1),
     ("eliminate1", "eliminate block3.json --n1 1", 0),
     ("eliminate0", "eliminate member.json --n1 0", 0),
+    # an affine block that fails the gate: det J_R = 1 - i*z1^2
+    ("eliminate1_affine_singular", "eliminate affine_singular.json --n1 1", 1),
+    ("partial1_lin_affine_singular", "check-partial affine_singular.json --n1 1 --lin", 1),
 ]
 
 

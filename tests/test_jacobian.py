@@ -1,8 +1,13 @@
+import random
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
+import polyred.elimination
+import polyred.poly
+import polyred.series
+from polyred.elimination import BlockNotInvertibleError, invert_R, invert_trailing_block, split
 from polyred.gaussian import Gaussian, Q
 from polyred.jacobian import (
     MEMBER,
@@ -17,10 +22,12 @@ from polyred.jacobian import (
     jacobian_matrix,
 )
 from polyred.io import read_system
-from polyred.poly import Elimination, Polynomial, PolySystem, compose_many, det
+from polyred.poly import Elimination, Polynomial, PolySystem, block_jacobian, compose_many, det
+from polyred.reduction import phi_algebraic
 from polyred.series import truncated_block_inverse
 from polyred.samples import (
     curated_invertible_pairs,
+    random_affine_split_system,
     random_couplings,
     random_zero_constant_system,
 )
@@ -219,9 +226,71 @@ def test_truncated_block_inverse_solves_like_cramer(rng):
         z = [P.variable(1 + i, nv) for i in range(nb)]
         b0 = [P.variable(0, nv) ** (j + 1) for j in range(nb)]
         R = [sum((a * zi for a, zi in zip(row, z)), b) for row, b in zip(M, b0)]
-        Q_, P_, exact = truncated_block_inverse(R, nv, 1, 2)
+        Q_, P_, exact, _ = truncated_block_inverse(R, nv, 1, 2)
         assert exact and Q_ == z
         assert P_ == _cramer(M, [zi - b for zi, b in zip(z, b0)], P.zero(nv), P.one(nv))
+
+
+def _leibniz_block_det(comps, start):
+    nb = len(comps)
+    zero = P.zero(comps[0].nvars)
+    return _permanent_style_det([[row.get(j, zero) for j in range(nb)]
+                                 for row in block_jacobian(comps, start)])
+
+
+def test_block_inversion_eliminates_an_affine_block_once(monkeypatch):
+    # For R affine in its block, J_R = A, so the solve's elimination of A^T is
+    # the gate; a block of degree >= 2 is gated on J_R by an elimination of its own.
+    built = []
+
+    class Counting(Elimination):
+        __slots__ = ()
+
+        def __init__(self, rows, zero):
+            built.append(len(rows))
+            super().__init__(rows, zero)
+
+    monkeypatch.setattr(polyred.poly, "Elimination", Counting)
+    monkeypatch.setattr(polyred.series, "Elimination", Counting)
+
+    def eliminations(S, n1):
+        built.clear()
+        rinv = invert_R(split(S, n1))
+        assert rinv.certified
+        assert rinv.det_jr == _leibniz_block_det(S.components[n1:], n1).constant_term()
+        return len(built)
+
+    image = phi_algebraic(PolySystem([z(0) + z(1) ** 3, z(1)], degree_bound=3)).system
+    assert eliminations(image, 2) == 1
+    affine = random_affine_split_system(random.Random(7), 2, 2)
+    assert eliminations(affine, 2) == 1
+    tame43, _ = read_system(str(GOLDEN / "tame43.json"))
+    assert eliminations(tame43, 0) == 2
+
+    # a singular affine block fails the gate in the solve, once, with the gate's
+    # message and the Leibniz det J_R = 1*z1 - 1*z1 = 0 as its witness
+    v = [P.variable(i, 3) for i in range(3)]
+    R = [v[1] + v[2], v[0] * (v[1] + v[2])]
+    built.clear()
+    with pytest.raises(BlockNotInvertibleError) as err:
+        invert_trailing_block(R, 3, 1)
+    assert len(built) == 1
+    assert str(err.value) == ("block Jacobian determinant is not a nonzero constant "
+                              "(the block is singular for some parameter value)")
+    assert err.value.witness == _leibniz_block_det(R, 1) == P.zero(3)
+
+
+def test_nonaffine_block_is_gated_before_the_solve(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the solve ran before the gate answered")
+
+    monkeypatch.setattr(polyred.elimination, "truncated_block_inverse", refuse)
+    v = [P.variable(i, 3) for i in range(3)]
+    for R in ([v[1] + v[2] ** 2, v[0] * (v[1] + v[2] ** 2)],   # det J_R = 0
+              [v[1] + v[2] ** 2, v[2] + v[0] * v[1] ** 2]):    # det J_R = 1 - 4*z1*z2*z3
+        with pytest.raises(BlockNotInvertibleError) as err:
+            invert_trailing_block(R, 3, 1)
+        assert err.value.witness == _leibniz_block_det(R, 1)
 
 
 def test_is_jlin_examples():
