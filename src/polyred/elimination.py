@@ -26,9 +26,11 @@ block-linear part A, and the elimination of A^T that solves below is the
 gate.  Then :func:`polyred.series.truncated_block_inverse` normalizes R by
 A, runs the library's one fixed-point loop cut at a block-degree cap (an
 affine block needs no rounds), and certifies the candidate by one exact
-forward composition R(z1, R^{-1}(y2; z1)) = y2; the lemma in its docstring
-shows the other direction follows.  A certification failure at a cap at
-least d2^(n2-1) (d2 the block degree) is conclusive, below it undetermined.
+composition in R's normalized coordinates, which holds exactly when
+R(z1, R^{-1}(y2; z1)) = y2 does (an affine block takes no product); the
+lemma in its docstring shows the other direction follows.  A certification
+failure at a cap at least d2^(n2-1) (d2 the block degree) is conclusive,
+below it undetermined.
 """
 
 from __future__ import annotations
@@ -116,9 +118,11 @@ def invert_trailing_block(comps, nvars: int, start: int, cap: int | None = None)
     witness, a det J_R that is not a nonzero constant: found by eliminating
     J_R when the block degree is >= 2, else carried by the solve's
     :class:`LinearPartError`, as J_R = A.  ``det_jr`` is the solve's det A,
-    which is det J_R at z2 = 0.  The candidate is certified by the forward
-    composition that :func:`polyred.series.truncated_block_inverse` checks;
-    its docstring shows why that makes it a two-sided inverse.
+    which is det J_R at z2 = 0.  The candidate is certified by the exact
+    composition in normalized coordinates that
+    :func:`polyred.series.truncated_block_inverse` checks; its docstring
+    shows why that is the forward identity R(z1, R^{-1}) = y2 and makes the
+    candidate a two-sided inverse.
     """
     nb = nvars - start
     if len(comps) != nb:

@@ -13,13 +13,13 @@ from __future__ import annotations
 
 import json
 import re
-from fractions import Fraction
+from math import lcm
 
 from .gaussian import Gaussian
 from .poly import Polynomial, PolySystem
 
 SCHEMA_VERSION = 1
-# Only this form: Fraction() also parses exponents, and "1e10000000" takes seconds.
+# Only this form, so that int() reads each part; no exponents such as "1e10000000".
 _RATIONAL = re.compile(r"[+-]?\d+(/\d+)?", re.ASCII)
 
 
@@ -32,15 +32,20 @@ def _is_count(x) -> bool:
     return type(x) is int and x >= 0
 
 
-def _fraction_from_string(s, path: str) -> Fraction:
+def _rational_from_string(s, path: str) -> tuple[int, int]:
+    """(p, q) with q > 0 for a rational string p or p/q; p/q need not be reduced."""
     if not isinstance(s, str):
         raise SchemaError(f"{path}: expected a rational string, got {type(s).__name__}")
     if not _RATIONAL.fullmatch(s):
         raise SchemaError(f"{path}: expected a rational of the form p or p/q, got {s[:40]!r}")
+    num, _, den = s.partition("/")
     try:
-        return Fraction(s)
-    except (ValueError, ZeroDivisionError) as exc:
+        p, q = int(num), int(den or 1)
+    except ValueError as exc:  # more digits than int() converts
         raise SchemaError(f"{path}: cannot parse rational {s!r}: {exc}") from None
+    if not q:
+        raise SchemaError(f"{path}: cannot parse rational {s!r}: Fraction({p}, 0)")
+    return p, q
 
 
 def polynomial_to_dict(p: Polynomial) -> dict:
@@ -72,8 +77,10 @@ def polynomial_from_dict(obj, path: str = "polynomial") -> Polynomial:
                 or not all(_is_count(e) for e in exp)):
             raise SchemaError(
                 f"{tpath}.exp: expected {nvars} non-negative integers")
-        c = Gaussian(_fraction_from_string(t.get("re", "0"), f"{tpath}.re"),
-                     _fraction_from_string(t.get("im", "0"), f"{tpath}.im"))
+        p1, q1 = _rational_from_string(t.get("re", "0"), f"{tpath}.re")
+        p2, q2 = _rational_from_string(t.get("im", "0"), f"{tpath}.im")
+        d = lcm(q1, q2)
+        c = Gaussian(p1 * (d // q1), p2 * (d // q2), d)
         key = tuple(exp)
         if key in terms:
             raise SchemaError(f"{tpath}.exp: duplicate exponent vector {exp}")

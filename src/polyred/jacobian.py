@@ -122,8 +122,9 @@ def certify_polynomial_inverse(F: PolySystem, degree_cap: int | None = None) -> 
 
     :func:`polyred.series.truncated_block_inverse`, with no parameters,
     normalizes F by its constant and linear parts, gives the formal inverse
-    truncated at degree cap as the candidate P, and certifies F(P) = y
-    exactly; the lemma in its docstring makes P a two-sided inverse.
+    truncated at degree cap as the candidate P, and certifies it exactly in
+    the normalized coordinates, which is equivalent to F(P) = y; the lemma
+    in its docstring makes P a two-sided inverse.
     Failure at a cap at least d^(n-1) is conclusive non-membership (no
     polynomial inverse can exceed that degree); failure below the cap stays
     undetermined.  Raises :class:`LinearPartError`

@@ -413,11 +413,12 @@ def compose_many(polys: Sequence[Polynomial], subs: Sequence[Polynomial],
 
     origin = (0,) * nv
     unit = {origin: ONE}
+    slots = range(len(subs))
     out = []
     for p in polys:
         acc: dict = {}
         for exps, c in p.terms.items():
-            factors = [power(i, e).terms for i, e in enumerate(exps) if e]
+            factors = [power(i, exps[i]).terms for i in compress(slots, exps)]
             cut = max_degree if factors else None
             chain = [factors[0], {origin: c}, *factors[1:]] if factors else [unit, {origin: c}]
             term = chain[0]

@@ -27,9 +27,10 @@ and the identity Z * det J_F(G) = 1 are provided on the same grading.
 :func:`truncated_block_inverse` normalizes a block system by its
 block-linear part, read off with :func:`polyred.poly.block_jacobian` and
 solved by one :class:`polyred.poly.Elimination` on its unit pivots, runs the
-same loop and certifies the result by one forward composition; block
-inversion in :mod:`polyred.elimination` and invertibility certification in
-:mod:`polyred.jacobian` both go through it.
+same loop and certifies the result by one exact composition in the
+normalized coordinates, which is equivalent to the forward check R(P) = y;
+block inversion in :mod:`polyred.elimination` and invertibility
+certification in :mod:`polyred.jacobian` both go through it.
 """
 
 from __future__ import annotations
@@ -249,13 +250,23 @@ def truncated_block_inverse(comps: Sequence[Polynomial], nvars: int, start: int,
     Q, and the candidate P is Q(params, x) with A^T x = y - b0 (an affine R
     has W = 0).  Returns (Q, P, exact, det A).
 
-    ``exact`` is the one certification every inverse in the library gets:
-    the forward composition R(params, P) == y, identically in (params, y).
-    It also proves P(params, R) == z.  Without parameters: F o P = id makes
-    P injective, hence dominant; P o F o P = P then gives P o F = id on the
-    Zariski-dense image of P, hence identically (van den Essen, *Polynomial
-    Automorphisms and the Jacobian Conjecture*, 2000, ch. 1).  With
-    parameters, apply the same argument to the maps (params, R) and
+    ``exact`` is the one certification every inverse in the library gets,
+    taken in the normalized coordinates: Q - W(params, Q) == y, identically
+    in (params, y), by one untruncated composition of W with Q.  It holds
+    exactly when R(params, P) == y does.  Write x(y) = A^{-T}(y - b0).  Then
+    R(params, P) = y holds exactly when A^{-T}(R(params, P) - b0) = x, that
+    is, when Q(x) - W(params, Q(x)) = x.  As det A is a nonzero constant,
+    (params, y) -> (params, x) is a polynomial automorphism, so that
+    identity holds for all (params, y) exactly when it holds for all
+    (params, x), which is Q - W(params, Q) = y with x named y.  The
+    normalized check skips the affine change of variables that the forward
+    one expands and cancels, and an affine block (W = 0) takes no product.
+
+    The check also proves P(params, R) == z.  Without parameters: F o P = id
+    makes P injective, hence dominant; P o F o P = P then gives P o F = id
+    on the Zariski-dense image of P, hence identically (van den Essen,
+    *Polynomial Automorphisms and the Jacobian Conjecture*, 2000, ch. 1).
+    With parameters, apply the same argument to the maps (params, R) and
     (params, P).
     """
     nb = nvars - start
@@ -274,7 +285,8 @@ def truncated_block_inverse(comps: Sequence[Polynomial], nvars: int, start: int,
     W = [yi - xi for yi, xi in zip(y, elim.solve([r - b for r, b in zip(comps, b0)]))]
     Q = truncated_fixed_point(W, nvars, start, cap)
     P = compose_many(Q, params + elim.solve([yi - b for yi, b in zip(y, b0)]))
-    return Q, P, compose_many(comps, params + P) == y, elim.det
+    exact = [q - w for q, w in zip(Q, compose_many(W, params + Q))] == y
+    return Q, P, exact, elim.det
 
 
 def formal_inverse_fixed_point(w: CouplingTensor, order: int,
@@ -527,12 +539,15 @@ def log_partition_function(w: CouplingTensor, order: int,
 
     Every entry of M has grade >= 1, so the sum is finite at any truncation.
     """
-    if order < 1:
-        raise ValueError("order must be at least 1")
     if G is None:
         G = formal_inverse_fixed_point(w, order)
-    M = _curvature_matrix(w, G)
-    acc = GradedPoly.zero(order, G.nvars)
+    return _log_partition(_curvature_matrix(w, G), order, G.nvars)
+
+
+def _log_partition(M: list[list[GradedPoly]], order: int, nv: int) -> GradedPoly:
+    if order < 1:
+        raise ValueError("order must be at least 1")
+    acc = GradedPoly.zero(order, nv)
     power = M
     for r in range(1, order + 1):
         acc = acc + _trace(power).scale(Gaussian(Fraction(1, r)))
@@ -546,18 +561,25 @@ def det_jacobian_on_inverse(w: CouplingTensor, order: int,
     """det J_F(G(u)) as a graded series (division-free minor expansion of 1 - M)."""
     if G is None:
         G = formal_inverse_fixed_point(w, order)
-    M = _curvature_matrix(w, G)
-    n = w.dims
-    one = GradedPoly.one(order, G.nvars)
+    return _det_one_minus(_curvature_matrix(w, G), order, G.nvars)
+
+
+def _det_one_minus(M: list[list[GradedPoly]], order: int, nv: int) -> GradedPoly:
+    n = len(M)
+    one = GradedPoly.one(order, nv)
     J = [{j: (one - M[i][j]) if i == j else -M[i][j] for j in range(n)} for i in range(n)]
-    return det(J, GradedPoly.zero(order, G.nvars))
+    return det(J, GradedPoly.zero(order, nv))
 
 
 def z_det_identity_check(w: CouplingTensor, order: int) -> tuple[bool, GradedPoly]:
-    """Verify exp(ln Z) * det J_F(G(u)) = 1 through the truncation order."""
+    """Verify exp(ln Z) * det J_F(G(u)) = 1 through the truncation order.
+
+    Both factors are read off one curvature matrix M, built once.
+    """
     G = formal_inverse_fixed_point(w, order)
-    Z = log_partition_function(w, order, G).exp()
-    D = det_jacobian_on_inverse(w, order, G)
+    M = _curvature_matrix(w, G)
+    Z = _log_partition(M, order, G.nvars).exp()
+    D = _det_one_minus(M, order, G.nvars)
     residual = Z * D - GradedPoly.one(order, G.nvars)
     return residual.is_zero(), residual
 

@@ -302,6 +302,36 @@ def test_cli_rejects_rationals_outside_the_documented_form(text, tmp_path, capsy
     assert capsys.readouterr().out == ""
 
 
+@pytest.mark.parametrize("text, reason", [
+    ("1/0", "Fraction(1, 0)"),
+    ("7" * 5000, "Exceeds the limit (4300 digits) for integer string conversion"),
+])
+def test_cli_rejects_unparseable_rationals(text, reason, tmp_path, capsys):
+    # a zero denominator, and a numerator longer than int() converts
+    obj = system_to_dict(PolySystem.identity(1))
+    obj["components"][0]["terms"][0]["re"] = text
+    path = tmp_path / "coefficient.json"
+    path.write_text(json.dumps(obj))
+    assert main(["check-jlin", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "Traceback" not in captured.err
+    assert f"components[0].terms[0].re: cannot parse rational {text!r}: {reason}" in captured.err
+
+
+def test_unreduced_rationals_are_written_back_reduced(tmp_path):
+    obj = system_to_dict(PolySystem.identity(1))
+    obj["components"][0]["terms"][0].update({"re": "2/4", "im": "-6/8"})
+    obj["components"][0]["terms"].append({"exp": [0], "re": "-6/8", "im": "+10/5"})
+    path = tmp_path / "unreduced.json"
+    path.write_text(json.dumps(obj))
+    F, _ = read_system(str(path))
+    assert F.components[0] == P(1, {(1,): Q("1/2", "-3/4"), (0,): Q("-3/4", 2)})
+    write_system(str(path), F)
+    terms = json.loads(path.read_text())["components"][0]["terms"]
+    assert [(t["re"], t["im"]) for t in terms] == [("1/2", "-3/4"), ("-3/4", "2")]
+
+
 def test_cli_rejects_deeply_nested_json(tmp_path, capsys):
     # nesting far beyond the interpreter's recursion limit is a schema error, not a crash
     path = tmp_path / "nested.json"

@@ -231,6 +231,96 @@ def test_truncated_block_inverse_solves_like_cramer(rng):
         assert P_ == _cramer(M, [zi - b for zi, b in zip(z, b0)], P.zero(nv), P.one(nv))
 
 
+def _forward_check(comps, nvars, start, P_):
+    # the oracle: R(params, P) == y, composed in the original coordinates
+    params = [P.variable(i, nvars) for i in range(start)]
+    return compose_many(comps, params + P_) == [P.variable(i, nvars)
+                                                 for i in range(start, nvars)]
+
+
+def _parametric_nonaffine_block():
+    # R = M(s) T + b0(s) on (s, u, v): T = (u + s*v^2 + i*v^3, v) is triangular,
+    # M(s) = [[1, s], [-i*s, 1 - i*s^2]] has det 1, and b0 = (s^2 - 1, i*s)
+    s, u, v = (P.variable(i, 3) for i in range(3))
+    T = [u + s * v ** 2 + v ** 3 * Q(0, 1), v]
+    M = [[P.one(3), s], [s * Q(0, -1), 1 - s ** 2 * Q(0, 1)]]
+    b0 = [s ** 2 - 1, s * Q(0, 1)]
+    return [sum((a * t for a, t in zip(row, T)), b) for row, b in zip(M, b0)]
+
+
+def _certification_cases():
+    """(label, comps, nvars, start, cap) on seeded blocks, each cap at or below its bound."""
+    rng = random.Random(20261020)
+    cases = []
+    tame43, _ = read_system(str(GOLDEN / "tame43.json"))
+    tame44, _ = read_system(str(GOLDEN / "tame44.json"))
+    complex43 = [p.scale(Q(1, 1)) + Q(0, 2) for p in tame43.components]  # A = (1 + i) * 1, b0 = 2i
+    for name, comps, bound in (("tame43", list(tame43.components), 27),
+                               ("complex tame43", complex43, 27),
+                               ("tame44", list(tame44.components), 64)):
+        cases += [(f"{name} cap {cap}", comps, 4, 0, cap) for cap in (bound, bound - 1)]
+    for n1, n2 in ((1, 2), (2, 2), (2, 3)):
+        S = random_affine_split_system(rng, n1, n2)
+        cases.append((f"affine split {n1}+{n2}", list(S.components[n1:]), n1 + n2, n1, 1))
+    R = _parametric_nonaffine_block()
+    cases += [(f"parametric complex cap {cap}", R, 3, 1, cap) for cap in (3, 2)]
+    for d in (2, 2, 3, 3):
+        F = random_zero_constant_system(rng, 2, d)
+        while det(block_jacobian(F.components, 0), P.zero(2)).constant_term().is_zero():
+            F = random_zero_constant_system(rng, 2, d)
+        cases.append((f"random degree {d}", list(F.components), 2, 0, d))
+    return cases
+
+
+def test_normalized_certificate_agrees_with_the_forward_check():
+    verdicts = []
+    for label, comps, nvars, start, cap in _certification_cases():
+        _, P_, exact, _ = truncated_block_inverse(comps, nvars, start, cap)
+        assert exact == _forward_check(comps, nvars, start, P_), label
+        verdicts.append(exact)
+    assert verdicts.count(True) == 7 and verdicts.count(False) == 8
+
+
+def test_one_changed_coefficient_of_q_fails_both_checks(monkeypatch):
+    real = polyred.series.truncated_fixed_point
+
+    def changed(*args):
+        Q_ = real(*args)
+        e = max(Q_[0].terms, key=lambda e: (sum(e), e))
+        Q_[0] = Q_[0] + P.monomial(e, Q(1))
+        return Q_
+
+    tame43, _ = read_system(str(GOLDEN / "tame43.json"))
+    affine = random_affine_split_system(random.Random(3), 2, 2)
+    for comps, nvars, start, cap in ((list(tame43.components), 4, 0, 27),
+                                     (_parametric_nonaffine_block(), 3, 1, 3),
+                                     (list(affine.components[2:]), 4, 2, 1)):
+        monkeypatch.setattr(polyred.series, "truncated_fixed_point", real)
+        assert truncated_block_inverse(comps, nvars, start, cap)[2]
+        monkeypatch.setattr(polyred.series, "truncated_fixed_point", changed)
+        _, P_, exact, _ = truncated_block_inverse(comps, nvars, start, cap)
+        assert not exact
+        assert not _forward_check(comps, nvars, start, P_)
+
+
+def test_affine_block_is_certified_without_a_product(monkeypatch):
+    # W = 0 for an affine block, so its certifying composition substitutes into zeros
+    calls = []
+
+    def recording(polys, subs, *args):
+        calls.append(list(polys))
+        return compose_many(polys, subs, *args)
+
+    monkeypatch.setattr(polyred.series, "compose_many", recording)
+    image = phi_algebraic(PolySystem([z(0) + z(1) ** 3, z(1)], degree_bound=3)).system
+    affine = random_affine_split_system(random.Random(7), 2, 3)
+    for S, n1 in ((image, 2), (affine, 2)):
+        calls.clear()
+        rinv = invert_R(split(S, n1))
+        assert rinv.certified
+        assert calls[-1] and all(p.is_zero() for p in calls[-1])
+
+
 def _leibniz_block_det(comps, start):
     nb = len(comps)
     zero = P.zero(comps[0].nvars)

@@ -148,6 +148,22 @@ def test_z_det_identity(rng):
         assert ok, residual
 
 
+def test_z_det_identity_builds_one_curvature_matrix(monkeypatch, complex_couplings):
+    built = []
+    real = polyred.series._curvature_matrix
+
+    def counting(w, G):
+        built.append(G.order)
+        return real(w, G)
+
+    monkeypatch.setattr(polyred.series, "_curvature_matrix", counting)
+    w = complex_couplings(11, 2, 3)
+    ok, _ = z_det_identity_check(w, 4)
+    assert ok and built == [4]
+    with pytest.raises(ValueError, match="order must be at least 1"):
+        z_det_identity_check(w, 0)
+
+
 def test_zero_couplings_partition():
     w = CouplingTensor(2, 2)
     lnZ = log_partition_function(w, 3)
