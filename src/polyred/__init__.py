@@ -69,11 +69,10 @@ from .series import (
     GradedSeriesVector,
     PlaneTree,
     compose_poly,
-    det_jacobian_on_inverse,
     enumerate_trees,
     formal_inverse_fixed_point,
     inversion_defect,
-    log_partition_function,
+    partition_identity,
     theta_homogeneity_check,
     tree_amplitude,
     tree_oracle_inverse,

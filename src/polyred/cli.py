@@ -41,9 +41,8 @@ from .reduction import ALGEBRAIC, QFT, phi
 from .series import (
     formal_inverse_fixed_point,
     inversion_defect,
-    log_partition_function,
+    partition_identity,
     tree_oracle_inverse,
-    z_det_identity_check,
 )
 
 ENV_ORDER = "POLYRED_ORDER"
@@ -224,8 +223,8 @@ def _cmd_partition(args) -> tuple[dict, int]:
     F, _ = read_system(args.system)
     w = CouplingTensor.from_system(F)
     order = args.order
-    lnZ = log_partition_function(w, order)
-    ok, residual = z_det_identity_check(w, order)
+    lnZ, residual = partition_identity(w, order)
+    ok = residual.is_zero()
     report = {
         "command": "partition",
         "input": args.system,

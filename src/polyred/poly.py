@@ -254,10 +254,9 @@ class Polynomial:
         return Polynomial._of(self.nvars,
                               {e: v for e, v in self.terms.items() if sum(e[start:]) == c})
 
-    def compose(self, subs: Sequence["Polynomial"], max_degree: int | None = None,
-                start: int = 0) -> "Polynomial":
+    def compose(self, subs: Sequence["Polynomial"]) -> "Polynomial":
         """Substitute ``subs[i]`` for variable i; see :func:`compose_many`."""
-        return compose_many([self], subs, max_degree, start)[0]
+        return compose_many([self], subs)[0]
 
     def scale_vars(self, factors: Sequence) -> "Polynomial":
         """p(f0*z0, f1*z1, ...) for scalar factors."""

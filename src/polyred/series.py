@@ -21,8 +21,12 @@ ways:
   tensor values, no symmetry factors appear; agreement with the fixed point
   is itself a library-level test.
 
-The scalar log-partition series ln Z = sum_{r>=1} (1/r) tr((1 - J_F(G))^r)
-and the identity Z * det J_F(G) = 1 are provided on the same grading.
+The partition function is one pass over one curvature matrix
+M = 1 - J_F(G), the Jacobian of W~ evaluated on G and held as sparse rows:
+:func:`partition_identity` builds G and M once and returns the log-partition
+series ln Z = sum_{r>=1} (1/r) tr(M^r), the sum of one-loop graphs, with the
+residual of the identity Z * det(1 - M) = 1 on the same grading; the
+determinant is :func:`polyred.poly.det` on the rows of 1 - M.
 
 :func:`truncated_block_inverse` normalizes a block system by its
 block-linear part, read off with :func:`polyred.poly.block_jacobian` and
@@ -318,20 +322,16 @@ def formal_inverse_fixed_point(w: CouplingTensor, order: int,
     return GradedSeriesVector([GradedPoly(order, nv, g) for g in compose_many(tagged, lifted)])
 
 
-def inversion_defect(w: CouplingTensor, G: GradedSeriesVector,
-                     source: Sequence[Polynomial] | None = None) -> GradedSeriesVector:
-    """F(G) - source as a graded vector; zero when G inverts F through the order."""
+def inversion_defect(w: CouplingTensor, G: GradedSeriesVector) -> GradedSeriesVector:
+    """F(G) - u as a graded vector; zero when G inverts F through the order."""
     n = w.dims
-    if source is None:
-        if G.nvars != n:
-            raise ValueError("the default source needs G expressed in the u-ring")
-        source = [Polynomial.variable(i, n) for i in range(n)]
-    nv = G.nvars
-    theta = Polynomial.variable(nv, nv + 1)
+    if G.nvars != n:
+        raise ValueError("the inversion defect needs G expressed in the u-ring")
+    theta = Polynomial.variable(n, n + 1)
     WG = compose_many(w.graded_nonlinearity(), [g.poly for g in G.components] + [theta],
-                      G.order, nv)
-    return GradedSeriesVector([GradedPoly(G.order, nv, g.poly - s.lift(nv + 1) - wg)
-                               for g, s, wg in zip(G.components, source, WG)])
+                      G.order, n)
+    return GradedSeriesVector([GradedPoly(G.order, n, g.poly - Polynomial.variable(i, n + 1) - wg)
+                               for i, (g, wg) in enumerate(zip(G.components, WG))])
 
 
 # -- rooted plane trees -------------------------------------------------------
@@ -498,89 +498,77 @@ def tree_oracle_inverse(w: CouplingTensor, order: int,
 # -- partition function --------------------------------------------------------
 
 
-def _curvature_matrix(w: CouplingTensor, G: GradedSeriesVector) -> list[list[GradedPoly]]:
-    """The Jacobian of W~ evaluated on G: entry (j, i) = dW~_i/dz_j (G).
+def _curvature_matrix(w: CouplingTensor, G: GradedSeriesVector) -> list[dict[int, GradedPoly]]:
+    """The Jacobian of W~ evaluated on G as sparse rows: row j maps i to dW~_i/dz_j (G).
 
     This is M = 1 - J_F(G) transposed, as :func:`polyred.poly.block_jacobian`
     orients it; traces of powers and the determinant do not see the transpose.
+    Only the nonzero entries of the Jacobian of W~ are composed, in one
+    ``compose_many`` batch, and an entry that the truncation cuts to zero is
+    left out too.
     """
-    n, nv = w.dims, G.nvars
+    nv = G.nvars
     theta = Polynomial.variable(nv, nv + 1)
     JW = block_jacobian(w.graded_nonlinearity(), 0)
-    zero = Polynomial.zero(n + 1)
-    flat = iter(compose_many([row.get(j, zero) for row in JW for j in range(n)],
-                             [g.poly for g in G.components] + [theta], G.order, nv))
-    return [[GradedPoly(G.order, nv, next(flat)) for _ in range(n)] for _ in range(n)]
+    slots = [(j, i) for j, row in enumerate(JW) for i in row]
+    composed = compose_many([JW[j][i] for j, i in slots],
+                            [g.poly for g in G.components] + [theta], G.order, nv)
+    M: list[dict[int, GradedPoly]] = [{} for _ in JW]
+    for (j, i), p in zip(slots, composed):
+        if not p.is_zero():
+            M[j][i] = GradedPoly(G.order, nv, p)
+    return M
 
 
-def _mat_mul(A: list[list[GradedPoly]], B: list[list[GradedPoly]]) -> list[list[GradedPoly]]:
-    n = len(A)
-    order, nv = A[0][0].order, A[0][0].nvars
-    out = [[GradedPoly.zero(order, nv) for _ in range(n)] for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            acc = GradedPoly.zero(order, nv)
-            for m in range(n):
-                acc = acc + A[i][m] * B[m][j]
-            out[i][j] = acc
-    return out
-
-
-def _trace(A: list[list[GradedPoly]]) -> GradedPoly:
-    acc = GradedPoly.zero(A[0][0].order, A[0][0].nvars)
-    for i in range(len(A)):
-        acc = acc + A[i][i]
-    return acc
-
-
-def log_partition_function(w: CouplingTensor, order: int,
-                           G: GradedSeriesVector | None = None) -> GradedPoly:
-    """ln Z(0, u) = sum_{r=1..order} (1/r) tr(M^r) with M = 1 - J_F(G(u)).
-
-    Every entry of M has grade >= 1, so the sum is finite at any truncation.
-    """
-    if G is None:
-        G = formal_inverse_fixed_point(w, order)
-    return _log_partition(_curvature_matrix(w, G), order, G.nvars)
-
-
-def _log_partition(M: list[list[GradedPoly]], order: int, nv: int) -> GradedPoly:
-    if order < 1:
-        raise ValueError("order must be at least 1")
-    acc = GradedPoly.zero(order, nv)
+def _log_partition(M: list[dict[int, GradedPoly]], order: int, nv: int) -> GradedPoly:
+    """sum_{r=1..order} (1/r) tr(M^r), with each power taken row by sparse row."""
+    zero = GradedPoly.zero(order, nv)
+    acc = zero
     power = M
     for r in range(1, order + 1):
-        acc = acc + _trace(power).scale(Gaussian(Fraction(1, r)))
+        trace = sum((row[j] for j, row in enumerate(power) if j in row), zero)
+        acc = acc + trace.scale(Gaussian(Fraction(1, r)))
         if r < order:
-            power = _mat_mul(power, M)
+            nxt = []
+            for row in power:
+                out: dict[int, GradedPoly] = {}
+                for m, a in row.items():
+                    for i, b in M[m].items():
+                        out[i] = out[i] + a * b if i in out else a * b
+                nxt.append({i: p for i, p in out.items() if not p.is_zero()})
+            power = nxt
     return acc
 
 
-def det_jacobian_on_inverse(w: CouplingTensor, order: int,
-                            G: GradedSeriesVector | None = None) -> GradedPoly:
-    """det J_F(G(u)) as a graded series (division-free minor expansion of 1 - M)."""
-    if G is None:
-        G = formal_inverse_fixed_point(w, order)
-    return _det_one_minus(_curvature_matrix(w, G), order, G.nvars)
+def _det_one_minus(M: list[dict[int, GradedPoly]], order: int, nv: int) -> GradedPoly:
+    """det(1 - M) on the sparse rows of M, by :func:`polyred.poly.det`."""
+    zero, one = GradedPoly.zero(order, nv), GradedPoly.one(order, nv)
+    rows = [{i: -m for i, m in row.items()} for row in M]
+    for j, row in enumerate(rows):
+        row[j] = one + row.get(j, zero)
+    return det(rows, zero)
 
 
-def _det_one_minus(M: list[list[GradedPoly]], order: int, nv: int) -> GradedPoly:
-    n = len(M)
-    one = GradedPoly.one(order, nv)
-    J = [{j: (one - M[i][j]) if i == j else -M[i][j] for j in range(n)} for i in range(n)]
-    return det(J, GradedPoly.zero(order, nv))
+def partition_identity(w: CouplingTensor, order: int) -> tuple[GradedPoly, GradedPoly]:
+    """ln Z(0, u) and the residual exp(ln Z) * det J_F(G(u)) - 1, from one curvature matrix.
+
+    ln Z = sum_{r=1..order} (1/r) tr(M^r) with M = 1 - J_F(G(u)), and
+    det J_F(G) = det(1 - M).  Every entry of M has grade >= 1, so the sum is
+    finite at any truncation, and the residual vanishes through the order
+    exactly when Z * det J_F(G) = 1 does.  G and M are each built once.
+    """
+    if order < 1:
+        raise ValueError("order must be at least 1")
+    G = formal_inverse_fixed_point(w, order)
+    M = _curvature_matrix(w, G)
+    ln_z = _log_partition(M, order, G.nvars)
+    residual = ln_z.exp() * _det_one_minus(M, order, G.nvars) - GradedPoly.one(order, G.nvars)
+    return ln_z, residual
 
 
 def z_det_identity_check(w: CouplingTensor, order: int) -> tuple[bool, GradedPoly]:
-    """Verify exp(ln Z) * det J_F(G(u)) = 1 through the truncation order.
-
-    Both factors are read off one curvature matrix M, built once.
-    """
-    G = formal_inverse_fixed_point(w, order)
-    M = _curvature_matrix(w, G)
-    Z = _log_partition(M, order, G.nvars).exp()
-    D = _det_one_minus(M, order, G.nvars)
-    residual = Z * D - GradedPoly.one(order, G.nvars)
+    """Verify exp(ln Z) * det J_F(G(u)) = 1 through the truncation order."""
+    _, residual = partition_identity(w, order)
     return residual.is_zero(), residual
 
 

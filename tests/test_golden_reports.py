@@ -19,6 +19,8 @@ GOLDEN = Path(__file__).parent / "golden"
 CASES = [
     ("invert_trees", "invert normalized.json --order 4 --oracle trees", 0),
     ("partition", "partition normalized.json --order 4", 0),
+    # sparse couplings in three variables: J of W~ has zero entries
+    ("partition_sparse3", "partition sparse3.json --order 5", 0),
     ("partial0_member", "check-partial member.json --n1 0", 0),
     ("partial0_nonmember", "check-partial nonmember.json --n1 0", 1),
     ("partial0_undetermined", "check-partial member.json --n1 0 --cap 2", 1),

@@ -28,7 +28,6 @@ PENDING = {
     "h_recovery_check": "ROADMAP item 4",
     "transport_determinant_check": "ROADMAP item 4",
     "reduce_to_quadratic": "ROADMAP item 4",
-    "det_jacobian_on_inverse": "ROADMAP item 11",
     "enumerate_trees": "ROADMAP item 11",
     "tree_amplitude": "ROADMAP item 11",
 }

@@ -7,6 +7,7 @@ import time
 
 import pytest
 
+import polyred.series
 from polyred import acceptance
 from polyred.cli import main
 from polyred.family import FamilyInstance, family_system
@@ -179,6 +180,21 @@ def test_cli_partition(member_file, capsys):
     code, out = run_cli(capsys, "partition", member_file, "--order", "3")
     rep = json.loads(out)
     assert code == 0 and rep["z_det_identity"] is True
+
+
+def test_cli_partition_builds_the_inverse_and_curvature_matrix_once(member_file, capsys,
+                                                                     monkeypatch):
+    calls = {"formal_inverse_fixed_point": 0, "_curvature_matrix": 0}
+    for name in calls:
+        real = getattr(polyred.series, name)
+
+        def counting(*args, _real=real, _name=name):
+            calls[_name] += 1
+            return _real(*args)
+
+        monkeypatch.setattr(polyred.series, name, counting)
+    code, _ = run_cli(capsys, "partition", member_file, "--order", "4")
+    assert code == 0 and calls == {"formal_inverse_fixed_point": 1, "_curvature_matrix": 1}
 
 
 def test_cli_order_env_default(member_file, capsys, monkeypatch):

@@ -8,7 +8,7 @@ from hypothesis import given, strategies as st
 import polyred.series
 from polyred.couplings import CouplingTensor
 from polyred.gaussian import Gaussian, Q
-from polyred.poly import Polynomial, PolySystem
+from polyred.poly import Polynomial, PolySystem, block_jacobian
 from polyred.samples import random_couplings
 from polyred.reduction import euler_weighted_gradient, phi_qft
 from polyred.series import (
@@ -16,11 +16,10 @@ from polyred.series import (
     GradedSeriesVector,
     PlaneTree,
     compose_poly,
-    det_jacobian_on_inverse,
     enumerate_trees,
     formal_inverse_fixed_point,
     inversion_defect,
-    log_partition_function,
+    partition_identity,
     theta_homogeneity_check,
     tree_amplitude,
     tree_oracle_inverse,
@@ -128,13 +127,13 @@ def test_oracle_equals_fixed_point(rng):
 
 def test_log_partition_low_grades():
     # F = u - w u^2: ln Z = -ln(1 - 2 w G) = 2w u + 4 w^2 u^2 + ... (here w = 1)
-    lnZ = log_partition_function(W_CATALAN, 3)
+    lnZ = partition_identity(W_CATALAN, 3)[0]
     assert lnZ.grade(0).is_zero()
     assert lnZ.grade(1) == P.monomial((1,), 2)
     assert lnZ.grade(2) == P.monomial((2,), 4)
     # F = u - w u^3, w = 1: the first contribution is 3 u^2 at grade 2.
     w3 = CouplingTensor(1, 3, {(3, 0, (0, 0, 0)): Q(1)})
-    lnZ3 = log_partition_function(w3, 4)
+    lnZ3 = partition_identity(w3, 4)[0]
     assert lnZ3.grade(1).is_zero()
     assert lnZ3.grade(2) == P.monomial((2,), 3)
 
@@ -164,9 +163,38 @@ def test_z_det_identity_builds_one_curvature_matrix(monkeypatch, complex_couplin
         z_det_identity_check(w, 0)
 
 
+W_SPARSE3 = CouplingTensor(3, 3, {(2, 0, (1, 2)): Q(1, 1), (3, 2, (0, 0, 1)): Q(Fraction(-1, 2)),
+                                   (2, 1, (2, 2)): Q(2)})
+
+
+@pytest.mark.parametrize("order", [1, 4])
+def test_curvature_matrix_composes_only_nonzero_entries(order, monkeypatch):
+    batches = []
+    real = polyred.series.compose_many
+
+    def recording(polys, *args):
+        batches.append(list(polys))
+        return real(polys, *args)
+
+    G = formal_inverse_fixed_point(W_SPARSE3, order)
+    monkeypatch.setattr(polyred.series, "compose_many", recording)
+    M = polyred.series._curvature_matrix(W_SPARSE3, G)
+    JW = block_jacobian(W_SPARSE3.graded_nonlinearity(), 0)
+    entries = [p for row in JW for p in row.values()]
+    assert len(entries) < 3 * 3 and not any(p.is_zero() for p in entries)
+    assert batches == [entries]
+    assert not any(m.is_zero() for row in M for m in row.values())
+    # dense reference: every entry the sparse rows leave out is zero
+    dense = loop_curvature(W_SPARSE3, G)
+    zero = GradedPoly.zero(order, 3)
+    assert all(M[j].get(i, zero) == dense[i][j] for i in range(3) for j in range(3))
+    # at order 1 the cubic coupling's theta^2 entries are cut to zero and left out
+    assert sum(map(len, M)) == (len(entries) if order > 1 else 3)
+
+
 def test_zero_couplings_partition():
     w = CouplingTensor(2, 2)
-    lnZ = log_partition_function(w, 3)
+    lnZ = partition_identity(w, 3)[0]
     assert all(lnZ.grade(r).is_zero() for r in range(4))
     ok, _ = z_det_identity_check(w, 3)
     assert ok
@@ -370,8 +398,10 @@ def test_graded_evaluations_match_loop_formulas(n, d, complex_couplings):
     M = loop_curvature(w, G)
     if n > 1:
         assert any(M[i][j] != M[j][i] for i in range(n) for j in range(n))
-    assert log_partition_function(w, order, G) == loop_log_partition(M, order, n)
-    assert det_jacobian_on_inverse(w, order, G) == leibniz_det_of_one_minus(M, order, n)
+    sparse = polyred.series._curvature_matrix(w, G)
+    assert polyred.series._log_partition(sparse, order, n) == loop_log_partition(M, order, n)
+    assert polyred.series._det_one_minus(sparse, order, n) == \
+        leibniz_det_of_one_minus(M, order, n)
 
 
 def test_graded_evaluations_do_not_compose_one_polynomial_at_a_time(monkeypatch,
@@ -383,8 +413,9 @@ def test_graded_evaluations_do_not_compose_one_polynomial_at_a_time(monkeypatch,
     w = complex_couplings(7, 2, 4, quadratic_free=True)
     G = formal_inverse_fixed_point(w, 3)
     assert inversion_defect(w, G).is_zero()
-    log_partition_function(w, 3, G)
-    det_jacobian_on_inverse(w, 3, G)
+    M = polyred.series._curvature_matrix(w, G)
+    polyred.series._log_partition(M, 3, 2)
+    polyred.series._det_one_minus(M, 3, 2)
     euler_weighted_gradient(w.to_system())
     phi_qft(w)
 
