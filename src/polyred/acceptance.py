@@ -66,22 +66,22 @@ class CheckResult:
     detail: str = ""
 
 
-def _series_corpus(seed: int, count: int = 100) -> list[CouplingTensor]:
+def _series_corpus(seed: int) -> list[CouplingTensor]:
     rng = random.Random(seed)
     out = [
         CouplingTensor(1, 2, {(2, 0, (0, 0)): Q(1)}),           # Catalan instance
         CouplingTensor(1, 3, {(3, 0, (0, 0, 0)): Q("1/2")}),
         CouplingTensor(2, 2, {(2, 0, (1, 1)): Q(1), (2, 1, (0, 0)): Q(-1)}),
     ]
-    while len(out) < count:
+    while len(out) < 100:
         n = rng.choice((1, 2))
         d = rng.choice((2, 3, 4))
         w = random_couplings(rng, n, d)
         out.append(w)
-    return out[:count]
+    return out
 
 
-def criterion_1_inversion_round_trip(seed: int = DEFAULT_SEED) -> CheckResult:
+def criterion_1_inversion_round_trip(seed: int) -> CheckResult:
     """F(G(u)) - u vanishes through grading order 5 on 100 random systems."""
     bad = 0
     corpus = _series_corpus(seed)
@@ -93,7 +93,7 @@ def criterion_1_inversion_round_trip(seed: int = DEFAULT_SEED) -> CheckResult:
                        bad == 0, f"{len(corpus)} systems, order 5, {bad} defects")
 
 
-def criterion_2_tree_oracle(seed: int = DEFAULT_SEED) -> CheckResult:
+def criterion_2_tree_oracle(seed: int) -> CheckResult:
     """Plane-tree enumeration reproduces the fixed point; Catalan cross-check."""
     rng = random.Random(seed + 1)
     catalan = [1, 1, 2, 5, 14, 42]
@@ -119,7 +119,7 @@ def criterion_2_tree_oracle(seed: int = DEFAULT_SEED) -> CheckResult:
                        f"{mism} mismatches")
 
 
-def criterion_3_partition_identity(seed: int = DEFAULT_SEED) -> CheckResult:
+def criterion_3_partition_identity(seed: int) -> CheckResult:
     """Z(0,u) * det J_F(G(u)) = 1 through order 4 on the criterion-1 corpus."""
     bad = 0
     corpus = _series_corpus(seed)
@@ -150,7 +150,7 @@ def _theorem_corpus(seed: int):
     return generic + members, normalized + members
 
 
-def criterion_4_transport_lin(seed: int = DEFAULT_SEED) -> CheckResult:
+def criterion_4_transport_lin(seed: int) -> CheckResult:
     """Constant-determinant membership transports across both reductions,
     and :func:`is_in_image_of_phi` recovers each source from its image."""
     generic, normalized = _theorem_corpus(seed)
@@ -168,7 +168,7 @@ def criterion_4_transport_lin(seed: int = DEFAULT_SEED) -> CheckResult:
                        f"{total} instances across both variants, {len(bad)} disagreements")
 
 
-def criterion_5_transport_invertibility(seed: int = DEFAULT_SEED) -> CheckResult:
+def criterion_5_transport_invertibility(seed: int) -> CheckResult:
     """Invertibility transports across the reduction on curated corpora."""
     problems = []
     invertible = curated_invertible_pairs()
@@ -212,7 +212,7 @@ def drop_const(F: PolySystem) -> PolySystem:
     return out
 
 
-def criterion_6_schur_identity(seed: int = DEFAULT_SEED) -> CheckResult:
+def criterion_6_schur_identity(seed: int) -> CheckResult:
     """The determinant factorization holds on reduction images and random splits."""
     rng = random.Random(seed + 3)
     generic, normalized = _theorem_corpus(seed)
@@ -239,7 +239,7 @@ def criterion_6_schur_identity(seed: int = DEFAULT_SEED) -> CheckResult:
                        f"{bad} failures")
 
 
-def criterion_7_family_reproduction(seed: int = DEFAULT_SEED) -> CheckResult:
+def criterion_7_family_reproduction(seed: int) -> CheckResult:
     """Closed forms agree with the classifiers; substituted determinant checked."""
     problems = []
     for d in (2, 3, 4):
@@ -273,7 +273,7 @@ def criterion_7_family_reproduction(seed: int = DEFAULT_SEED) -> CheckResult:
                        + (f": {problems[:2]}" if problems else ""))
 
 
-def criterion_7d_display_template(seed: int = DEFAULT_SEED) -> CheckResult:
+def criterion_7d_display_template(seed: int) -> CheckResult:
     """The deviation of the circulated closed-form template is reported exactly.
 
     The template's k >= 1 summands sit at exponents (d-1)(d-1-k), and its
@@ -326,7 +326,7 @@ def criterion_7d_display_template(seed: int = DEFAULT_SEED) -> CheckResult:
                        + (f": {problems[:2]}" if problems else ""))
 
 
-def criterion_8_reduced_inverse(seed: int = DEFAULT_SEED) -> CheckResult:
+def criterion_8_reduced_inverse(seed: int) -> CheckResult:
     """Reduced-system inverse equals the source inverse, plus the closed
     auxiliary form, at orders 5 (n=1, d=3) and 4 (n=2, d=4)."""
     rng = random.Random(seed + 6)
@@ -342,7 +342,7 @@ def criterion_8_reduced_inverse(seed: int = DEFAULT_SEED) -> CheckResult:
                        f"{len(checks)} runs, {len(bad)} failures")
 
 
-def criterion_9_theta_homogeneity(seed: int = DEFAULT_SEED) -> CheckResult:
+def criterion_9_theta_homogeneity(seed: int) -> CheckResult:
     rng = random.Random(seed + 7)
     lams = [Q(2), Q(Fraction(3, 2)), Q(-1)]
     instances = [CouplingTensor(1, 2, {(2, 0, (0, 0)): Q(1)})]
@@ -358,7 +358,7 @@ def criterion_9_theta_homogeneity(seed: int = DEFAULT_SEED) -> CheckResult:
                        f"{bad} failures")
 
 
-def criterion_10_euler_and_chain_rule(seed: int = DEFAULT_SEED) -> CheckResult:
+def criterion_10_euler_and_chain_rule(seed: int) -> CheckResult:
     rng = random.Random(seed + 8)
     bad = 0
     for _ in range(100):

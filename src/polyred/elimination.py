@@ -272,7 +272,7 @@ def is_j_partial(F: PolySystem, n1: int, cap: int | None = None) -> MembershipVe
             NON_MEMBER, witness=None,
             detail="eliminated system has a singular linear part, hence no inverse")
     if cert.verdict != MEMBER:
-        return MembershipVerdict(cert.verdict, witness=cert.witness,
+        return MembershipVerdict(NON_MEMBER, witness=None,
                                  detail=f"eliminated system: {cert.detail}")
 
     # F(P(y1)) = (y1, 0) follows by substitution from the two certified

@@ -117,18 +117,17 @@ def classical_degree_cap(degree: int, dim: int) -> int:
     return max(degree, 1) ** max(dim - 1, 0)
 
 
-def certify_polynomial_inverse(F: PolySystem, degree_cap: int | None = None) -> MembershipVerdict:
+def certify_polynomial_inverse(F: PolySystem) -> MembershipVerdict:
     """Decide polynomial invertibility by a truncated inverse plus exact composition.
 
     :func:`polyred.series.truncated_block_inverse`, with no parameters,
     normalizes F by its constant and linear parts, gives the formal inverse
-    truncated at degree cap as the candidate P, and certifies it exactly in
-    the normalized coordinates, which is equivalent to F(P) = y; the lemma
-    in its docstring makes P a two-sided inverse.
-    Failure at a cap at least d^(n-1) is conclusive non-membership (no
-    polynomial inverse can exceed that degree); failure below the cap stays
-    undetermined.  Raises :class:`LinearPartError`
-    when the linear part is singular.
+    truncated at the classical bound d^(n-1) as the candidate P, and
+    certifies it exactly in the normalized coordinates, which is equivalent
+    to F(P) = y; the lemma in its docstring makes P a two-sided inverse.
+    No polynomial inverse exceeds that degree, so a failed certificate is
+    conclusive non-membership.  Raises :class:`LinearPartError` when the
+    linear part is singular.
     """
     if not F.is_square():
         raise ValueError("invertibility certification needs a square system")
@@ -137,18 +136,11 @@ def certify_polynomial_inverse(F: PolySystem, degree_cap: int | None = None) -> 
         return MembershipVerdict(MEMBER, witness=PolySystem([], nvars=0),
                                  detail="empty system is trivially invertible")
     bound = classical_degree_cap(F.degree(), n)
-    cap = bound if degree_cap is None else degree_cap
-    Q, candidate, exact, _ = truncated_block_inverse(F.components, n, 0, cap)
-    note = (f"degree cap {cap}; classical bound d^(n-1) = {bound} "
+    _, candidate, exact, _ = truncated_block_inverse(F.components, n, 0, bound)
+    note = (f"degree cap {bound}; classical bound d^(n-1) = {bound} "
             f"(imported background result, not derived here)")
     if exact:
         return MembershipVerdict(MEMBER, witness=PolySystem(candidate, nvars=n),
                                  detail=f"exact two-sided polynomial inverse found; {note}")
-    if cap >= bound:
-        # grade r of the normalized formal inverse is its degree-(r + 1) part
-        high = min((sum(e) for q in Q for e in q.terms if sum(e) > bound), default=None)
-        why = (f"formal inverse has a nonzero grade {high - 1} (degree {high} > bound)"
-               if high is not None else "truncated series fails exact composition")
-        return MembershipVerdict(NON_MEMBER, witness=None, detail=f"{why}; {note}")
-    return MembershipVerdict(UNDETERMINED, witness=None,
-                             detail=f"cap below the certified bound; {note}")
+    return MembershipVerdict(NON_MEMBER, witness=None,
+                             detail=f"truncated series fails exact composition; {note}")

@@ -101,9 +101,9 @@ class Polynomial:
         return Polynomial._of(nvars, {(0,) * i + (1,) + (0,) * (nvars - i - 1): ONE})
 
     @staticmethod
-    def monomial(exps: Sequence[int], c, nvars: int | None = None) -> "Polynomial":
+    def monomial(exps: Sequence[int], c) -> "Polynomial":
         exps = tuple(exps)
-        return Polynomial(len(exps) if nvars is None else nvars, {exps: Gaussian.coerce(c)})
+        return Polynomial(len(exps), {exps: Gaussian.coerce(c)})
 
     # -- predicates / accessors -------------------------------------------
 
@@ -229,6 +229,9 @@ class Polynomial:
         return self.nvars == other.nvars and self.terms == other.terms
 
     def __hash__(self):
+        # a constant equals its scalar, so it hashes as one (Gaussian hashes like int)
+        if self.is_constant():
+            return hash(self.constant_term())
         return hash((self.nvars, frozenset(self.terms.items())))
 
     # -- calculus-style operations -----------------------------------------
@@ -290,11 +293,10 @@ class Polynomial:
 
     # -- rendering -------------------------------------------------------------
 
-    def to_str(self, names: Sequence[str] | None = None) -> str:
+    def to_str(self) -> str:
         if self.is_zero():
             return "0"
-        if names is None:
-            names = [f"z{i + 1}" for i in range(self.nvars)]
+        names = [f"z{i + 1}" for i in range(self.nvars)]
         chunks = []
         for exps, c in self.sorted_terms():
             factors = []
@@ -723,8 +725,8 @@ class PolySystem:
             return NotImplemented
         return self.nvars == other.nvars and self.components == other.components
 
-    def to_str(self, names: Sequence[str] | None = None) -> str:
-        return "(" + ", ".join(p.to_str(names) for p in self.components) + ")"
+    def to_str(self) -> str:
+        return "(" + ", ".join(p.to_str() for p in self.components) + ")"
 
     def __str__(self):
         return self.to_str()

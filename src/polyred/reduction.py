@@ -266,27 +266,28 @@ def verify_theorem_main(F: PolySystem, variant: str) -> dict:
 def reduced_inverse_check(w: CouplingTensor, order: int) -> dict:
     """Compare the reduced system's formal inverse against the source's.
 
-    With the auxiliary source coordinates pinned to zero, the first n
-    components of the reduced inverse must equal the source inverse grade by
+    The reduced system's formal inverse Gt is composed onto (u, 0, theta),
+    which pins its auxiliary source coordinates to zero: the inverse series
+    of u - W is unique, so the solution of G = s + W(G) is Gt composed with
+    s.  Its first n components must then equal the source inverse G grade by
     grade, and auxiliary component (i, j) must equal the derivative slice
     (1/d) dW_d,i/dz_j of the degree-d coupling evaluated on G, raised d - 2
     grades: one Jacobian of (1/d) theta^(d-2) W_d, evaluated on (G, theta).
     """
     n, d = w.dims, w.max_degree
     wt = phi_qft(w)
-    G = formal_inverse_fixed_point(w, order)
-    source = [Polynomial.variable(i, n) for i in range(n)] + \
-             [Polynomial.zero(n)] * (n * n)
-    Gt = formal_inverse_fixed_point(wt, order, source)
-    first_ok = all(Gt[i] == G[i] for i in range(n))
+    G = [g.poly for g in formal_inverse_fixed_point(w, order).components]
+    theta = Polynomial.variable(n, n + 1)
+    zero = Polynomial.zero(n + 1)
+    pinned = [Polynomial.variable(i, n + 1) for i in range(n)] + [zero] * (n * n) + [theta]
+    Gt = compose_many([g.poly for g in formal_inverse_fixed_point(wt, order).components], pinned)
+    first_ok = Gt[:n] == G
     theta_wd = Polynomial.monomial((0,) * n + (d - 2,), Gaussian(Fraction(1, d)))
     JWd = block_jacobian([w.coupling_poly(i, d).lift(n + 1) * theta_wd for i in range(n)], 0)
     # auxiliary slot (i, j) is component n + i*n + j, and JWd[j][i] differentiates W_d,i by z_j
-    zero = Polynomial.zero(n + 1)
     expected = compose_many([JWd[j].get(i, zero) for i in range(n) for j in range(n)],
-                            [g.poly for g in G.components] + [Polynomial.variable(n, n + 1)],
-                            order, n)
-    aux_ok = [g.poly for g in Gt.components[n:]] == expected
+                            G + [theta], order, n)
+    aux_ok = Gt[n:] == expected
     return {"first_block_equal": first_ok, "aux_closed_form": aux_ok,
             "passed": first_ok and aux_ok, "order": order}
 

@@ -62,8 +62,8 @@ def random_zero_constant_system(rng: random.Random, n: int, d: int) -> PolySyste
     return PolySystem(comps, nvars=n, degree_bound=d)
 
 
-def curated_invertible_pairs(d_max: int = 4) -> list[tuple[PolySystem, PolySystem]]:
-    """(system, known exact inverse) pairs on two variables, degrees <= d_max.
+def curated_invertible_pairs() -> list[tuple[PolySystem, PolySystem]]:
+    """(system, known exact inverse) pairs on two variables.
 
     Shears along one variable, their compositions, and rank-one shears
     z - v * l(z)^d with l(v) = 0 (inverse y + v * l(y)^d).
@@ -104,7 +104,7 @@ def curated_invertible_pairs(d_max: int = 4) -> list[tuple[PolySystem, PolySyste
         out.append((PolySystem(list(F.components), nvars=n,
                                degree_bound=max(F.degree(), 1)), Finv))
     # Rank-one shears z - v l(z)^d, l = z1 + z2, v = (1, -1).
-    for d in range(2, d_max + 1):
+    for d in range(2, 5):
         l_pow = (z1 + z2) ** d
         F = PolySystem([z1 - l_pow, z2 + l_pow], degree_bound=d)
         Finv = PolySystem([y1 + l_pow, y2 - l_pow])
@@ -131,8 +131,8 @@ def curated_invertible_pairs(d_max: int = 4) -> list[tuple[PolySystem, PolySyste
     return out
 
 
-def curated_non_invertible(count: int = 20) -> list[PolySystem]:
-    """Systems with F(0) = 0 and no polynomial inverse (various failure modes)."""
+def curated_non_invertible() -> list[PolySystem]:
+    """20 systems with F(0) = 0 and no polynomial inverse (various failure modes)."""
     n = 2
     z1, z2 = (Polynomial.variable(i, n) for i in range(n))
     base = [
@@ -153,8 +153,7 @@ def curated_non_invertible(count: int = 20) -> list[PolySystem]:
         extra.append(PolySystem([z1, z2 - z2 ** m], degree_bound=m))
         extra.append(PolySystem([z1 - z1 ** 2 * z2 ** (m - 2) if m > 2 else z1 - z1 ** 2,
                                  z2 - z1 ** m], degree_bound=m))
-    out = base + extra
-    return out[:count]
+    return (base + extra)[:20]
 
 
 def random_affine_split_system(rng: random.Random, n1: int, n2: int,

@@ -12,14 +12,15 @@ of a normalized system F(z) = z - sum W_k(z) is computed two independent
 ways:
 
 * :func:`formal_inverse_fixed_point` solves G = u + sum_k W_k(G) with the
-  library's one inversion loop, :func:`truncated_fixed_point`, and reads
-  grade r off the inverse's homogeneous part of degree r + 1 (each W_k
-  application raises the degree, and the grade, by k - 1);
+  library's one inversion loop, :func:`truncated_fixed_point`, and tags
+  each term of degree r + 1 with theta^r (each W_k application raises the
+  degree, and the grade, by k - 1), so no substitution follows the loop;
 * :func:`tree_oracle_inverse` sums amplitudes of rooted plane trees whose
-  vertices have in-degrees in {2..d}, contracting each distinct subtree
-  once per call.  With plane (ordered-children) trees and per-ordering
-  tensor values, no symmetry factors appear; agreement with the fixed point
-  is itself a library-level test.
+  vertices have in-degrees in {2..d} and whose leaves are the variables u,
+  contracting each distinct subtree once per call.  With plane
+  (ordered-children) trees and per-ordering tensor values, no symmetry
+  factors appear; agreement with the fixed point is itself a library-level
+  test.
 
 The partition function is one pass over one curvature matrix
 M = 1 - J_F(G), the Jacobian of W~ evaluated on G and held as sparse rows:
@@ -293,33 +294,23 @@ def truncated_block_inverse(comps: Sequence[Polynomial], nvars: int, start: int,
     return Q, P, exact, elim.det
 
 
-def formal_inverse_fixed_point(w: CouplingTensor, order: int,
-                               source: Sequence[Polynomial] | None = None) -> GradedSeriesVector:
-    """Unique graded solution of G = source + sum_k W_k(G), default source u.
+def formal_inverse_fixed_point(w: CouplingTensor, order: int) -> GradedSeriesVector:
+    """Unique graded solution of G = u + sum_k W_k(G), through grade ``order``.
 
-    Grade r of G is homogeneous of degree r + 1 in u, so G is read off the
-    inverse series Q of u - sum_k W_k(u), truncated at degree order + 1 by
-    :func:`truncated_fixed_point`: grade r is Q's degree-(r + 1) part
-    composed with the source.  Grade 0 equals the source; the solution
-    satisfies F(G(u)) = u through the truncation order.  A non-default source
-    (for instance with some zero coordinates) yields the inverse series with
-    those source slots pinned.
+    Grade r of G is homogeneous of degree r + 1 in u, so G is the inverse
+    series Q of u - sum_k W_k(u), truncated at degree order + 1 by
+    :func:`truncated_fixed_point`, with each degree-(r + 1) term tagged
+    theta^r.  Grade 0 is u, and F(G(u)) = u through the truncation order.
     """
     if order < 0:
         raise ValueError("order must be non-negative")
     n = w.dims
-    if source is None:
-        source = [Polynomial.variable(i, n) for i in range(n)]
-    if len(source) != n:
-        raise ValueError(f"source must have {n} coordinates")
-    nv = source[0].nvars
     W = [sum((w.coupling_poly(i, k) for k in w.degrees()), Polynomial.zero(n))
          for i in range(n)]
     Q = truncated_fixed_point(W, n, 0, order + 1)
-    # Tag each degree-(r + 1) term of Q with theta^r, then substitute the source.
-    tagged = [Polynomial(n + 1, {e + (sum(e) - 1,): c for e, c in q.terms.items()}) for q in Q]
-    lifted = [s.lift(nv + 1) for s in source] + [Polynomial.variable(nv, nv + 1)]
-    return GradedSeriesVector([GradedPoly(order, nv, g) for g in compose_many(tagged, lifted)])
+    return GradedSeriesVector([
+        GradedPoly(order, n, Polynomial(n + 1, {e + (sum(e) - 1,): c for e, c in q.terms.items()}))
+        for q in Q])
 
 
 def inversion_defect(w: CouplingTensor, G: GradedSeriesVector) -> GradedSeriesVector:
@@ -339,7 +330,7 @@ def inversion_defect(w: CouplingTensor, G: GradedSeriesVector) -> GradedSeriesVe
 
 @dataclass(frozen=True)
 class PlaneTree:
-    """Rooted plane tree; children are ordered, leaves are source slots.
+    """Rooted plane tree; children are ordered, a leaf stands for the variables u.
 
     Equality is by value; the hash is computed once, from the children's
     stored hashes, so a memo lookup does not walk the subtree.
@@ -414,35 +405,34 @@ def enumerate_trees(d: int, max_weight: int) -> Iterator[PlaneTree]:
         yield from _trees_of_weight(r, d, memo)
 
 
-def _amplitudes(w: CouplingTensor,
-                source: Sequence[Polynomial]) -> Callable[..., list[Polynomial]]:
-    """amp(tree) -> amplitude vector, for one tensor and one source.
+def _amplitudes(w: CouplingTensor) -> Callable[..., list[Polynomial]]:
+    """amp(tree) -> amplitude vector, for one tensor.
 
     Amplitudes are memoised by subtree (a frozen dataclass, so equal subtrees
-    share one entry), starting from the leaf's source vector, so each distinct
-    subtree is contracted once for as long as the returned function lives.
-    ``amp(tree, keep=False)`` contracts a tree from its memoised children
-    without storing it, for trees that no later call reuses.
+    share one entry), starting from the leaf's amplitude, the variables u, so
+    each distinct subtree is contracted once for as long as the returned
+    function lives.  ``amp(tree, keep=False)`` contracts a tree from its
+    memoised children without storing it, for trees that no later call reuses.
     The vertex rules of each in-degree k (root index, per-ordering value and
     distinct index orderings) are read off the tensor once, up front.
     """
-    n, nv = w.dims, source[0].nvars
+    n = w.dims
     rules: dict[int, list[tuple[int, Gaussian, list[tuple[int, ...]]]]] = {}
     for k, i, idx in w.entries:
         rules.setdefault(k, []).append(
             (i, w.symmetric_value(k, i, idx), list(distinct_orderings(idx))))
-    memo: dict[PlaneTree, list[Polynomial]] = {LEAF: list(source)}
+    memo: dict[PlaneTree, list[Polynomial]] = {LEAF: [Polynomial.variable(i, n) for i in range(n)]}
 
     def amp(t: PlaneTree, keep: bool = True) -> list[Polynomial]:
         got = memo.get(t)
         if got is not None:
             return got
         child_amps = [amp(c) for c in t.children]
-        out = [Polynomial.zero(nv) for _ in range(n)]
+        out = [Polynomial.zero(n) for _ in range(n)]
         for i, val, orderings in rules.get(len(t.children), ()):
-            contribution = Polynomial.zero(nv)
+            contribution = Polynomial.zero(n)
             for ordered in orderings:
-                prod = Polynomial.one(nv)
+                prod = Polynomial.one(n)
                 for slot, j in enumerate(ordered):
                     prod = prod * child_amps[slot][j]
                 contribution = contribution + prod
@@ -454,38 +444,33 @@ def _amplitudes(w: CouplingTensor,
     return amp
 
 
-def tree_amplitude(tree: PlaneTree, w: CouplingTensor,
-                   source: Sequence[Polynomial] | None = None) -> list[Polynomial]:
+def tree_amplitude(tree: PlaneTree, w: CouplingTensor) -> list[Polynomial]:
     """Amplitude vector of one tree: entry i is the root-index-i contraction.
 
     Internal indices are contracted over all components with per-ordering
-    tensor values; a leaf in slot a contributes the source polynomial of its
-    index.  Each distinct subtree is contracted once per call.  The plain sum
-    of amplitudes over all plane trees of weight r is the grade-r part of the
+    tensor values; a leaf of index j contributes the variable u_j.  Each
+    distinct subtree is contracted once per call.  The plain sum of
+    amplitudes over all plane trees of weight r is the grade-r part of the
     formal inverse.
     """
-    if source is None:
-        source = [Polynomial.variable(i, w.dims) for i in range(w.dims)]
-    return _amplitudes(w, source)(tree)
+    return _amplitudes(w)(tree)
 
 
-def tree_oracle_inverse(w: CouplingTensor, order: int,
-                        source: Sequence[Polynomial] | None = None) -> GradedSeriesVector:
+def tree_oracle_inverse(w: CouplingTensor, order: int) -> GradedSeriesVector:
     """Formal inverse by explicit plane-tree enumeration (oracle-scale orders).
 
-    Every tree is enumerated and contracted at its root, and one amplitude
-    memo serves the whole call, so each distinct subtree is contracted once.
-    A tree of weight ``order`` is a subtree of no other tree of the call, so
-    the memo does not keep its amplitude.
+    Grade 0 is u, and grade r is the sum of the amplitudes of the plane
+    trees of weight r.  Every tree is enumerated and contracted at its root,
+    and one amplitude memo serves the whole call, so each distinct subtree is
+    contracted once.  A tree of weight ``order`` is a subtree of no other
+    tree of the call, so the memo does not keep its amplitude.
     The oracle shares no routine with :func:`formal_inverse_fixed_point`:
     no ``compose_many``, ``truncated_fixed_point`` or graded nonlinearity.
     """
     n = w.dims
-    if source is None:
-        source = [Polynomial.variable(i, n) for i in range(n)]
-    acc = [GradedPoly.of_poly(p, order) for p in source]
+    acc = [GradedPoly.of_poly(Polynomial.variable(i, n), order) for i in range(n)]
     if order >= 1:
-        amp = _amplitudes(w, source)
+        amp = _amplitudes(w)
         trees: dict[int, list[PlaneTree]] = {}
         for r in range(1, order + 1):
             for tree in _trees_of_weight(r, w.max_degree, trees):
@@ -575,9 +560,12 @@ def z_det_identity_check(w: CouplingTensor, order: int) -> tuple[bool, GradedPol
 def theta_homogeneity_check(w: CouplingTensor, order: int, lam) -> bool:
     """Check the grading/rescaling identity of the formal inverse.
 
-    Grade r of G is homogeneous of degree r + 1 in the source variables, so
+    Grade r of G is homogeneous of degree r + 1 in u, so
     G(u) = lam^(-1) * G(lam*u) with the grading indeterminate rescaled by
-    lam^(-1); this is what is verified, grade by grade.
+    lam^(-1); this is what is verified, grade by grade.  As
+    :func:`formal_inverse_fixed_point` tags each term's grade by its degree,
+    on its output the identity checks that tag; the tree oracle, which
+    grades by tree weight, checks the same fact independently.
     """
     lam = Gaussian.coerce(lam)
     if lam.is_zero():

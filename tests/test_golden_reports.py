@@ -35,6 +35,10 @@ CASES = [
     # an affine block that fails the gate: det J_R = 1 - i*z1^2
     ("eliminate1_affine_singular", "eliminate affine_singular.json --n1 1", 1),
     ("partial1_lin_affine_singular", "check-partial affine_singular.json --n1 1 --lin", 1),
+    # the eliminated system H(.; 0) decides: z1^2 has no linear part, and
+    # z1 - z1^2 fails its certificate at the bound
+    ("partial1_hsing", "check-partial hsing.json --n1 1", 1),
+    ("partial1_hfail", "check-partial hfail.json --n1 1", 1),
 ]
 
 

@@ -13,6 +13,10 @@ Every public top-level function or class is reached: named by a reached
 top-level body of another name in ``src/polyred``, or by an identifier in
 ``perfbench/*.py``.  Module-level code and private names are roots.  The few
 names kept for a planned caller are listed in :data:`PENDING`.
+
+Every parameter with a default is set by some call in ``src/polyred`` or
+``perfbench/*.py``; a default that no call overrides is a knob nobody turns.
+The few kept for the tests are listed, with their reason, in :data:`KEPT`.
 """
 
 import ast
@@ -30,6 +34,13 @@ PENDING = {
     "reduce_to_quadratic": "ROADMAP item 4",
     "enumerate_trees": "ROADMAP item 11",
     "tree_amplitude": "ROADMAP item 11",
+}
+
+
+# Defaults that no call in src/polyred or perfbench sets, kept for the tests.
+KEPT = {
+    "Q.im": "the tests write complex constants as Q(re, im)",
+    "Polynomial.lift.offset": "the tests lift fixtures into a trailing block",
 }
 
 
@@ -124,6 +135,63 @@ def unreached(src: Path, bench: Path) -> list[str]:
     return sorted(public.keys() - reached)
 
 
+def unset_defaults(src: Path, bench: Path) -> list[str]:
+    """``Function.param`` for every defaulted parameter in ``src`` that no call sets.
+
+    Calls are matched by the called name alone, ``f(...)`` or ``x.f(...)``,
+    from ``src`` and ``bench``; a class's ``__init__`` is called by the class
+    name, and a leading ``self`` or ``cls`` takes no position.  A call sets
+    the parameters it passes by keyword and those its positional arguments
+    reach; one with ``*args`` or ``**kwargs`` sets them all.
+    """
+    defs: list[tuple[str, str, ast.arguments]] = []
+
+    def collect(node, prefix: str, owner: str | None):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                collect(child, f"{prefix}{child.name}.", child.name)
+            elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                is_init = owner is not None and child.name == "__init__"
+                qual = prefix if is_init else f"{prefix}{child.name}."
+                defs.append((owner if is_init else child.name, qual, child.args))
+                collect(child, qual, None)
+            else:
+                collect(child, prefix, owner)
+
+    calls: dict[str, list[ast.Call]] = {}
+    for path in sorted(src.glob("*.py")) + sorted(bench.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        if path.parent == src:
+            collect(tree, "", None)
+        for n in ast.walk(tree):
+            if isinstance(n, ast.Call):
+                name = getattr(n.func, "id", None) or getattr(n.func, "attr", None)
+                calls.setdefault(name, []).append(n)
+
+    unset = []
+    for called, qual, args in defs:
+        positional = args.posonlyargs + args.args
+        if positional and positional[0].arg in ("self", "cls"):
+            positional = positional[1:]
+        first = len(positional) - len(args.defaults)
+        defaulted = [(a.arg, i) for i, a in enumerate(positional) if i >= first]
+        defaulted += [(a.arg, None) for a, d in zip(args.kwonlyargs, args.kw_defaults)
+                      if d is not None]
+        for name, pos in defaulted:
+            if not any(_sets(call, name, pos) for call in calls.get(called, ())):
+                unset.append(f"{qual}{name}")
+    return sorted(unset)
+
+
+def _sets(call: ast.Call, name: str, pos: int | None) -> bool:
+    """Whether ``call`` sets the parameter ``name`` at position ``pos`` (None: keyword-only)."""
+    if any(isinstance(a, ast.Starred) for a in call.args) or \
+            any(k.arg is None for k in call.keywords):
+        return True
+    return any(k.arg == name for k in call.keywords) or \
+        (pos is not None and len(call.args) > pos)
+
+
 def test_no_unused_imports():
     modules = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
     assert modules
@@ -191,3 +259,29 @@ def test_the_checker_finds_unreached_names(tmp_path):
     (bench / "t.py").write_text("TARGETS = [(\"a\", \"benched\")]\nlib.a.Kept\n",
                                 encoding="utf-8")
     assert unreached(src, bench) == ["dead", "only_dead", "split"]
+
+
+def test_every_default_parameter_is_set():
+    assert unset_defaults(SRC, BENCH) == sorted(KEPT)
+
+
+def test_the_checker_finds_unset_defaults(tmp_path):
+    src, bench = tmp_path / "src", tmp_path / "bench"
+    src.mkdir()
+    bench.mkdir()
+    (src / "a.py").write_text(
+        "def f(x, by_kw=0, by_pos=0, unset=0, *, kw_only=1, kw_unset=1):\n"
+        "    def inner(y, deep=0): return y\n"
+        "    return inner(x)\n\n"
+        "def g(a=0, b=0): return 0\n\n"
+        "def h(a=0): return 0\n\n"
+        "class C:\n"
+        "    def __init__(self, p, q=None): pass\n\n"
+        "    def m(self, r=1, s=2): return C(r)\n\n"
+        "    @staticmethod\n"
+        "    def s(t=0): return 0\n\n"
+        "f(1, 2, 3, by_kw=4, kw_only=5)\n"
+        "g(*ARGS)\n"
+        "C(1).m(2)\n", encoding="utf-8")
+    (bench / "t.py").write_text("lib.a.h(**OPTS)\nlib.a.C.s(0)\n", encoding="utf-8")
+    assert unset_defaults(src, bench) == ["C.m.s", "C.q", "f.inner.deep", "f.kw_unset", "f.unset"]

@@ -12,7 +12,6 @@ from polyred.gaussian import Gaussian, Q
 from polyred.jacobian import (
     MEMBER,
     NON_MEMBER,
-    UNDETERMINED,
     LinearPartError,
     PolyMatrix,
     certify_polynomial_inverse,
@@ -407,17 +406,17 @@ def test_classical_degree_cap():
     assert classical_degree_cap(2, 3) == 4
 
 
-def _note(cap, bound):
-    return (f"degree cap {cap}; classical bound d^(n-1) = {bound} "
+def _note(bound):
+    return (f"degree cap {bound}; classical bound d^(n-1) = {bound} "
             "(imported background result, not derived here)")
 
 
 def test_certify_triangular():
     F = PolySystem([z(0) - z(1) ** 2, z(1)])
-    v = certify_polynomial_inverse(F, 2)
+    v = certify_polynomial_inverse(F)
     assert v.verdict == MEMBER
     assert v.witness == PolySystem([z(0) + z(1) ** 2, z(1)])
-    assert v.detail == "exact two-sided polynomial inverse found; " + _note(2, 2)
+    assert v.detail == "exact two-sided polynomial inverse found; " + _note(2)
 
 
 def test_certify_non_diagonal_complex_linear_part():
@@ -438,34 +437,24 @@ def test_certify_non_diagonal_complex_linear_part():
 
 
 def test_certify_identity_any_cap():
-    for cap in (None, 1, 5):
-        v = certify_polynomial_inverse(PolySystem.identity(3), cap)
-        assert v.verdict == MEMBER and v.witness == PolySystem.identity(3)
+    v = certify_polynomial_inverse(PolySystem.identity(3))
+    assert v.verdict == MEMBER and v.witness == PolySystem.identity(3)
+    assert v.detail == "exact two-sided polynomial inverse found; " + _note(1)
 
 
 def test_certify_catalan_never_terminates():
     zz = P.variable(0, 1)
     F = PolySystem([zz - zz * zz])
-    v = certify_polynomial_inverse(F, 10)
-    assert v.verdict == NON_MEMBER
-    assert v.detail == ("formal inverse has a nonzero grade 1 (degree 2 > bound); "
-                        + _note(10, 1))
+    v = certify_polynomial_inverse(F)
+    assert v.verdict == NON_MEMBER and v.witness is None
+    assert v.detail == "truncated series fails exact composition; " + _note(1)
 
 
 def test_certify_nonmember_at_the_bound():
     # at cap = bound the truncated inverse has no part above the bound
     v = certify_polynomial_inverse(PolySystem([z(0) - z(0) ** 2, z(1)]))
     assert v.verdict == NON_MEMBER
-    assert v.detail == "truncated series fails exact composition; " + _note(2, 2)
-
-
-def test_certify_undetermined_below_bound():
-    # degree-6 composed shear: the default bound is 6; a cap of 2 must not decide membership
-    Fs = [F for F, _ in curated_invertible_pairs() if F.degree() == 6]
-    assert Fs
-    v = certify_polynomial_inverse(Fs[0], 2)
-    assert v.verdict == UNDETERMINED
-    assert v.detail == "cap below the certified bound; " + _note(2, 6)
+    assert v.detail == "truncated series fails exact composition; " + _note(2)
 
 
 def tame_map(n, d):
@@ -502,7 +491,7 @@ def test_certify_tame44_finds_the_known_inverse():
     v = certify_polynomial_inverse(F)
     assert v.verdict == MEMBER
     assert v.witness == Finv
-    assert v.detail == "exact two-sided polynomial inverse found; " + _note(64, 64)
+    assert v.detail == "exact two-sided polynomial inverse found; " + _note(64)
 
 
 def test_certify_affine_and_shifted():

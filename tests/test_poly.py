@@ -98,9 +98,17 @@ def test_degree_additivity(a, b):
         assert (a * b).degree() == a.degree() + b.degree()
 
 
+@pytest.mark.parametrize("nvars", [0, 1, 3])
+@pytest.mark.parametrize("c", [0, 2, Fraction(-1, 2), Q(1, 1)], ids=["0", "2", "-1/2", "1+i"])
+def test_constant_polynomial_hashes_as_its_scalar(c, nvars):
+    p = P.constant(c, nvars)
+    assert p == c and hash(p) == hash(c)
+    assert len({p, c}) == 1 and {p: 0}[c] == 0
+
+
 def test_compose_examples():
     # square of a sum
-    p = P.monomial((2,), 1, nvars=1)
+    p = P.monomial((2,), 1)
     s = z(0) + z(1)
     assert p.compose([s]) == P(2, {(2, 0): Q(1), (1, 1): Q(2), (0, 2): Q(1)})
     # identity substitution

@@ -296,8 +296,11 @@ def test_reduced_inverse_check_closed_form():
     # explicit auxiliary grades: Gt_aux = theta * c * G^2
     G = formal_inverse_fixed_point(w, 5)
     wt = phi_qft(w)
-    Gt = formal_inverse_fixed_point(wt, 5, [P.variable(0, 1), P.zero(1)])
-    Gsq = compose_poly(P.monomial((2,), 1, nvars=1), [G[0]], 5)
+    # the auxiliary coordinate pinned to zero: Gt composed onto (u, 0, theta)
+    pinned = [P.variable(0, 2), P.zero(2), P.variable(1, 2)]
+    Gt = [GradedPoly(5, 1, p) for p in
+          compose_many([g.poly for g in formal_inverse_fixed_point(wt, 5).components], pinned)]
+    Gsq = compose_poly(P.monomial((2,), 1), [G[0]], 5)
     assert Gt[1] == Gsq * GradedPoly.of_poly(P.one(1), 5, grade=1)
     assert Gt[1].grade(1) == P.monomial((2,), 1)
     assert Gt[1].grade(3) == P.monomial((4,), 2)

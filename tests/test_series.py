@@ -8,7 +8,7 @@ from hypothesis import given, strategies as st
 import polyred.series
 from polyred.couplings import CouplingTensor
 from polyred.gaussian import Gaussian, Q
-from polyred.poly import Polynomial, PolySystem, block_jacobian
+from polyred.poly import Polynomial, PolySystem, block_jacobian, compose_many
 from polyred.samples import random_couplings
 from polyred.reduction import euler_weighted_gradient, phi_qft
 from polyred.series import (
@@ -453,6 +453,14 @@ def reference_oracle(w, order, source):
     return GradedSeriesVector(acc)
 
 
+def on_source(G, source):
+    """G composed onto (source, theta): the inverse series with its leaves at the source."""
+    nv = source[0].nvars
+    subs = [s.lift(nv + 1) for s in source] + [P.variable(nv, nv + 1)]
+    return GradedSeriesVector([GradedPoly(G.order, nv, p)
+                               for p in compose_many([g.poly for g in G.components], subs)])
+
+
 def wide_source(n, extra):
     """n source polynomials in n + extra variables, the extra ones in every slot."""
     nv = n + extra
@@ -464,13 +472,17 @@ def wide_source(n, extra):
 def test_tree_amplitudes_match_per_tree_recursion(n, d, complex_couplings):
     w = complex_couplings(300 + 10 * n + d, n, d)
     order = 4 if n < 3 else 3  # keeps the whole test under ~1 s
-    sources = [[P.variable(i, n) for i in range(n)]]
+    u = [P.variable(i, n) for i in range(n)]
+    for tree in enumerate_trees(d, order):
+        assert tree_amplitude(tree, w) == reference_amplitude(tree, w, u)
+    G = tree_oracle_inverse(w, order)
+    assert G == reference_oracle(w, order, u)
     if (n, d) == (2, 3):
-        sources.append(wide_source(n, 2))
-    for source in sources:
-        for tree in enumerate_trees(d, order):
-            assert tree_amplitude(tree, w, source) == reference_amplitude(tree, w, source)
-        assert tree_oracle_inverse(w, order, source) == reference_oracle(w, order, source)
+        # leaves at another source: the library's series composed onto it
+        source = wide_source(n, 2)
+        expected = reference_oracle(w, order, source)
+        assert on_source(G, source) == expected
+        assert on_source(formal_inverse_fixed_point(w, order), source) == expected
 
 
 def rebuilt(tree):
@@ -481,13 +493,13 @@ def rebuilt(tree):
 def test_rebuilt_trees_hit_the_amplitude_memo(complex_couplings):
     # The memo is keyed by value: a tree built apart from the enumeration,
     # down to a bare PlaneTree() leaf, gets the enumerated tree's entry.
-    w, source = complex_couplings(77, 2, 4), wide_source(2, 1)
-    assert tree_amplitude(PlaneTree(), w, source) == source
-    amp = polyred.series._amplitudes(w, source)
+    w, u = complex_couplings(77, 2, 4), [P.variable(0, 2), P.variable(1, 2)]
+    assert tree_amplitude(PlaneTree(), w) == u
+    amp = polyred.series._amplitudes(w)
     for tree in enumerate_trees(4, 3):
         copy = rebuilt(tree)
         assert copy == tree and copy is not tree and hash(copy) == hash(tree)
-        assert tree_amplitude(copy, w, source) == reference_amplitude(tree, w, source)
+        assert tree_amplitude(copy, w) == reference_amplitude(tree, w, u)
         assert amp(copy) is amp(tree)
 
 
@@ -501,15 +513,16 @@ def test_tree_oracle_memo_lives_per_call(complex_couplings):
     assert tree_oracle_inverse(w1, 4) == G1
     assert tree_oracle_inverse(w2, 4) == G2
     assert tree_oracle_inverse(w1, 4) == G1
-    # One tensor, two sources: the leaf amplitude is the source.
+    # One tensor, two sources, each composed onto the library's series in u.
     s1 = [P.variable(0, 2), P.zero(2)]
     s2 = wide_source(2, 1)
-    G1, G2 = (formal_inverse_fixed_point(w1, 4, s) for s in (s1, s2))
-    assert tree_oracle_inverse(w1, 4, s1) == G1
-    assert tree_oracle_inverse(w1, 4, s2) == G2 == reference_oracle(w1, 4, s2)
+    G = formal_inverse_fixed_point(w1, 4)
+    G1, G2 = (on_source(G, s) for s in (s1, s2))
+    assert on_source(tree_oracle_inverse(w1, 4), s1) == G1 == reference_oracle(w1, 4, s1)
+    assert on_source(tree_oracle_inverse(w1, 4), s2) == G2 == reference_oracle(w1, 4, s2)
     tree = next(t for t in enumerate_trees(3, 2) if t.theta_weight == 2)
-    assert tree_amplitude(tree, w1, s1) == reference_amplitude(tree, w1, s1)
-    assert tree_amplitude(tree, w1, s2) == reference_amplitude(tree, w1, s2)
+    for s in (s1, s2):
+        assert compose_many(tree_amplitude(tree, w1), s) == reference_amplitude(tree, w1, s)
 
 
 def test_tree_oracle_shares_no_routine_with_the_fixed_point(monkeypatch, complex_couplings):
@@ -524,3 +537,20 @@ def test_tree_oracle_shares_no_routine_with_the_fixed_point(monkeypatch, complex
     with pytest.raises(AssertionError):
         formal_inverse_fixed_point(w, 4)
     assert tree_oracle_inverse(w, 4) == G
+
+
+@pytest.mark.parametrize("order", [0, 1, 5])
+def test_formal_inverse_composes_once_per_fixed_point_round(order, monkeypatch, complex_couplings):
+    # one compose_many per round of the truncated fixed point, none after it
+    calls = []
+    real = polyred.series.compose_many
+
+    def counting(*args):
+        calls.append(1)
+        return real(*args)
+
+    w = complex_couplings(5, 2, 3)
+    monkeypatch.setattr(polyred.series, "compose_many", counting)
+    G = formal_inverse_fixed_point(w, order)
+    assert len(calls) == order
+    assert G == tree_oracle_inverse(w, order)
