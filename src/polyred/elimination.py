@@ -139,7 +139,7 @@ def invert_trailing_block(comps, nvars: int, start: int, cap: int | None = None)
     bound = classical_degree_cap(block_deg, nb)
     used_cap = bound if cap is None else cap
     try:
-        _, rinv, exact, det_a = truncated_block_inverse(comps, nvars, start, used_cap)
+        rinv, exact, det_a = truncated_block_inverse(comps, nvars, start, used_cap)
     except LinearPartError as err:
         raise BlockNotInvertibleError(_SINGULAR_BLOCK, err.det) from None
     if exact:

@@ -136,7 +136,7 @@ def certify_polynomial_inverse(F: PolySystem) -> MembershipVerdict:
         return MembershipVerdict(MEMBER, witness=PolySystem([], nvars=0),
                                  detail="empty system is trivially invertible")
     bound = classical_degree_cap(F.degree(), n)
-    _, candidate, exact, _ = truncated_block_inverse(F.components, n, 0, bound)
+    candidate, exact, _ = truncated_block_inverse(F.components, n, 0, bound)
     note = (f"degree cap {bound}; classical bound d^(n-1) = {bound} "
             f"(imported background result, not derived here)")
     if exact:

@@ -16,11 +16,13 @@ ways:
   each term of degree r + 1 with theta^r (each W_k application raises the
   degree, and the grade, by k - 1), so no substitution follows the loop;
 * :func:`tree_oracle_inverse` sums amplitudes of rooted plane trees whose
-  vertices have in-degrees in {2..d} and whose leaves are the variables u,
-  contracting each distinct subtree once per call.  With plane
-  (ordered-children) trees and per-ordering tensor values, no symmetry
-  factors appear; agreement with the fixed point is itself a library-level
-  test.
+  vertices have in-degrees in {2..d} and whose leaves are the variables u.
+  With plane (ordered-children) trees and per-ordering tensor values, no
+  symmetry factors appear; agreement with the fixed point is itself a
+  library-level test.  A vertex sums every ordering of each index multiset,
+  so permuting its children leaves its amplitude unchanged: every plane
+  tree is enumerated, but each unordered subtree is contracted once per
+  call.
 
 The partition function is one pass over one curvature matrix
 M = 1 - J_F(G), the Jacobian of W~ evaluated on G and held as sparse rows:
@@ -236,7 +238,7 @@ def truncated_fixed_point(W: Sequence[Polynomial], nvars: int, start: int,
 
 
 def truncated_block_inverse(comps: Sequence[Polynomial], nvars: int, start: int,
-                            cap: int) -> tuple[list[Polynomial], list[Polynomial], bool, Polynomial]:
+                            cap: int) -> tuple[list[Polynomial], bool, Polynomial]:
     """Candidate inverse of a block system R, truncated at block degree ``cap``, and its check.
 
     R has one component per variable from index ``start`` on; its
@@ -253,7 +255,7 @@ def truncated_block_inverse(comps: Sequence[Polynomial], nvars: int, start: int,
     remainder is empty.  Solving A^T x = R - b0 gives y - W with
     W = -A^{-T} h, :func:`truncated_fixed_point` gives its truncated inverse
     Q, and the candidate P is Q(params, x) with A^T x = y - b0 (an affine R
-    has W = 0).  Returns (Q, P, exact, det A).
+    has W = 0).  Returns (P, exact, det A).
 
     ``exact`` is the one certification every inverse in the library gets,
     taken in the normalized coordinates: Q - W(params, Q) == y, identically
@@ -291,7 +293,7 @@ def truncated_block_inverse(comps: Sequence[Polynomial], nvars: int, start: int,
     Q = truncated_fixed_point(W, nvars, start, cap)
     P = compose_many(Q, params + elim.solve([yi - b for yi, b in zip(y, b0)]))
     exact = [q - w for q, w in zip(Q, compose_many(W, params + Q))] == y
-    return Q, P, exact, elim.det
+    return P, exact, elim.det
 
 
 def formal_inverse_fixed_point(w: CouplingTensor, order: int) -> GradedSeriesVector:
@@ -405,15 +407,28 @@ def enumerate_trees(d: int, max_weight: int) -> Iterator[PlaneTree]:
         yield from _trees_of_weight(r, d, memo)
 
 
-def _amplitudes(w: CouplingTensor) -> Callable[..., list[Polynomial]]:
+def _total(polys: list[Polynomial], nvars: int) -> Polynomial:
+    """The sum of ``polys``, started from the first rather than from zero."""
+    return sum(polys[1:], polys[0]) if polys else Polynomial.zero(nvars)
+
+
+def _amplitudes(w: CouplingTensor) -> Callable[[PlaneTree], list[Polynomial]]:
     """amp(tree) -> amplitude vector, for one tensor.
 
-    Amplitudes are memoised by subtree (a frozen dataclass, so equal subtrees
-    share one entry), starting from the leaf's amplitude, the variables u, so
-    each distinct subtree is contracted once for as long as the returned
-    function lives.  ``amp(tree, keep=False)`` contracts a tree from its
-    memoised children without storing it, for trees that no later call reuses.
-    The vertex rules of each in-degree k (root index, per-ordering value and
+    A vertex of in-degree k sums every distinct ordering of each index
+    multiset, each with the per-ordering value c / #orderings.  Permuting the
+    vertex's children permutes its slots, and that sum is invariant under it,
+    so an amplitude depends only on the tree's unordered shape: the sorted
+    tuple of its children's shapes, () for the leaf.  Each shape gets a small
+    int id when first seen, the leaf's amplitude (the variables u) is id 0,
+    and each unordered subtree is contracted once for as long as the returned
+    function lives; mirror trees share one amplitude object.
+
+    A product of child amplitudes depends only on the multiset of its
+    (child shape, index) factors, because multiplication commutes, so
+    products are memoised by the sorted factor tuple and built as prefix
+    products: each extends the product of all its factors but the last.  The
+    vertex rules of each in-degree k (root index, per-ordering value and
     distinct index orderings) are read off the tensor once, up front.
     """
     n = w.dims
@@ -421,35 +436,45 @@ def _amplitudes(w: CouplingTensor) -> Callable[..., list[Polynomial]]:
     for k, i, idx in w.entries:
         rules.setdefault(k, []).append(
             (i, w.symmetric_value(k, i, idx), list(distinct_orderings(idx))))
-    memo: dict[PlaneTree, list[Polynomial]] = {LEAF: [Polynomial.variable(i, n) for i in range(n)]}
+    amps: list[list[Polynomial]] = [[Polynomial.variable(i, n) for i in range(n)]]
+    ids: dict[tuple[int, ...], int] = {(): 0}
+    shape_of: dict[PlaneTree, int] = {LEAF: 0}
+    products: dict[tuple[tuple[int, int], ...], Polynomial] = {}
 
-    def amp(t: PlaneTree, keep: bool = True) -> list[Polynomial]:
-        got = memo.get(t)
-        if got is not None:
-            return got
-        child_amps = [amp(c) for c in t.children]
-        out = [Polynomial.zero(n) for _ in range(n)]
-        for i, val, orderings in rules.get(len(t.children), ()):
-            contribution = Polynomial.zero(n)
-            for ordered in orderings:
-                prod = Polynomial.one(n)
-                for slot, j in enumerate(ordered):
-                    prod = prod * child_amps[slot][j]
-                contribution = contribution + prod
-            out[i] = out[i] + contribution.scale(val)
-        if keep:
-            memo[t] = out
-        return out
+    def product(factors: tuple[tuple[int, int], ...]) -> Polynomial:
+        got = products.get(factors)
+        if got is None:
+            s, j = factors[-1]
+            got = amps[s][j] if len(factors) == 1 else product(factors[:-1]) * amps[s][j]
+            products[factors] = got
+        return got
 
-    return amp
+    def shape(t: PlaneTree) -> int:
+        s = shape_of.get(t)
+        if s is None:
+            children = tuple(sorted(shape(c) for c in t.children))
+            s = ids.get(children)
+            if s is None:
+                parts: list[list[Polynomial]] = [[] for _ in range(n)]
+                for i, val, orderings in rules.get(len(children), ()):
+                    parts[i].append(_total([product(tuple(sorted(zip(children, o))))
+                                            for o in orderings], n).scale(val))
+                s = ids[children] = len(amps)
+                amps.append([_total(p, n) for p in parts])
+            shape_of[t] = s
+        return s
+
+    return lambda t: amps[shape(t)]
 
 
 def tree_amplitude(tree: PlaneTree, w: CouplingTensor) -> list[Polynomial]:
     """Amplitude vector of one tree: entry i is the root-index-i contraction.
 
     Internal indices are contracted over all components with per-ordering
-    tensor values; a leaf of index j contributes the variable u_j.  Each
-    distinct subtree is contracted once per call.  The plain sum of
+    tensor values; a leaf of index j contributes the variable u_j.  The
+    amplitude depends only on the tree's unordered shape (see
+    :func:`_amplitudes`), so a tree and its mirror images agree, and each
+    unordered subtree is contracted once per call.  The plain sum of
     amplitudes over all plane trees of weight r is the grade-r part of the
     formal inverse.
     """
@@ -460,10 +485,11 @@ def tree_oracle_inverse(w: CouplingTensor, order: int) -> GradedSeriesVector:
     """Formal inverse by explicit plane-tree enumeration (oracle-scale orders).
 
     Grade 0 is u, and grade r is the sum of the amplitudes of the plane
-    trees of weight r.  Every tree is enumerated and contracted at its root,
-    and one amplitude memo serves the whole call, so each distinct subtree is
-    contracted once.  A tree of weight ``order`` is a subtree of no other
-    tree of the call, so the memo does not keep its amplitude.
+    trees of weight r.  Every plane tree is enumerated, so each grade is a
+    sum over Catalan-many trees with no symmetry factors, but one amplitude
+    function serves the whole call, and it contracts each unordered subtree
+    once: a vertex's amplitude does not depend on the order of its children.
+    Each grade is summed as plain polynomials and tagged theta^r once.
     The oracle shares no routine with :func:`formal_inverse_fixed_point`:
     no ``compose_many``, ``truncated_fixed_point`` or graded nonlinearity.
     """
@@ -473,10 +499,10 @@ def tree_oracle_inverse(w: CouplingTensor, order: int) -> GradedSeriesVector:
         amp = _amplitudes(w)
         trees: dict[int, list[PlaneTree]] = {}
         for r in range(1, order + 1):
-            for tree in _trees_of_weight(r, w.max_degree, trees):
-                for i, p in enumerate(amp(tree, keep=r < order)):
-                    if not p.is_zero():
-                        acc[i] = acc[i] + GradedPoly.of_poly(p, order, grade=r)
+            vectors = [amp(tree) for tree in _trees_of_weight(r, w.max_degree, trees)]
+            for i in range(n):
+                grade = _total([v[i] for v in vectors if not v[i].is_zero()], n)
+                acc[i] = acc[i] + GradedPoly.of_poly(grade, order, grade=r)
     return GradedSeriesVector(acc)
 
 

@@ -141,7 +141,7 @@ def test_invert_trailing_block_parametric_non_triangular_linear_part():
     assert rinv.certified and rinv.detail == "exact block inverse (cap 4)"
     assert list(rinv.components) == Rinv
     assert_two_sided_block_inverse(R, rinv.components, 4, 1)
-    _, P2, exact, _ = truncated_block_inverse(R, 4, 1, 2)
+    P2, exact, _ = truncated_block_inverse(R, 4, 1, 2)
     assert exact and P2 == Rinv
 
 

@@ -18,6 +18,8 @@ GOLDEN = Path(__file__).parent / "golden"
 
 CASES = [
     ("invert_trees", "invert normalized.json --order 4 --oracle trees", 0),
+    # complex couplings of degrees 2 and 3; most trees at order 6 have mirrors
+    ("invert_trees_sparse3", "invert sparse3.json --order 6 --oracle trees", 0),
     ("partition", "partition normalized.json --order 4", 0),
     # sparse couplings in three variables: J of W~ has zero entries
     ("partition_sparse3", "partition sparse3.json --order 5", 0),
@@ -39,6 +41,8 @@ CASES = [
     # z1 - z1^2 fails its certificate at the bound
     ("partial1_hsing", "check-partial hsing.json --n1 1", 1),
     ("partial1_hfail", "check-partial hfail.json --n1 1", 1),
+    # every acceptance criterion's report line, pinned as one report
+    ("verify_all", "verify-all", 0),
 ]
 
 

@@ -216,8 +216,17 @@ def test_unit_pivot_solve_matches_cramer(rng):
             assert [sum((a * xi for a, xi in zip(row, x)), zero) for row in M] == v
 
 
-def test_truncated_block_inverse_solves_like_cramer(rng):
-    # the affine block R = M(s) z + b0 has the inverse x with M x = y - b0
+def test_truncated_block_inverse_solves_like_cramer(rng, monkeypatch):
+    # the affine block R = M(s) z + b0 has the inverse x with M x = y - b0,
+    # and it normalizes to y - W with W = 0
+    handed = []
+    real = polyred.series.truncated_fixed_point
+
+    def record(W, *args):
+        handed.append(W)
+        return real(W, *args)
+
+    monkeypatch.setattr(polyred.series, "truncated_fixed_point", record)
     for block in _parametric_blocks(rng):
         nb = len(block)
         nv = nb + 1
@@ -225,8 +234,8 @@ def test_truncated_block_inverse_solves_like_cramer(rng):
         z = [P.variable(1 + i, nv) for i in range(nb)]
         b0 = [P.variable(0, nv) ** (j + 1) for j in range(nb)]
         R = [sum((a * zi for a, zi in zip(row, z)), b) for row, b in zip(M, b0)]
-        Q_, P_, exact, _ = truncated_block_inverse(R, nv, 1, 2)
-        assert exact and Q_ == z
+        P_, exact, _ = truncated_block_inverse(R, nv, 1, 2)
+        assert exact and handed.pop() == [P.zero(nv)] * nb
         assert P_ == _cramer(M, [zi - b for zi, b in zip(z, b0)], P.zero(nv), P.one(nv))
 
 
@@ -274,7 +283,7 @@ def _certification_cases():
 def test_normalized_certificate_agrees_with_the_forward_check():
     verdicts = []
     for label, comps, nvars, start, cap in _certification_cases():
-        _, P_, exact, _ = truncated_block_inverse(comps, nvars, start, cap)
+        P_, exact, _ = truncated_block_inverse(comps, nvars, start, cap)
         assert exact == _forward_check(comps, nvars, start, P_), label
         verdicts.append(exact)
     assert verdicts.count(True) == 7 and verdicts.count(False) == 8
@@ -295,9 +304,9 @@ def test_one_changed_coefficient_of_q_fails_both_checks(monkeypatch):
                                      (_parametric_nonaffine_block(), 3, 1, 3),
                                      (list(affine.components[2:]), 4, 2, 1)):
         monkeypatch.setattr(polyred.series, "truncated_fixed_point", real)
-        assert truncated_block_inverse(comps, nvars, start, cap)[2]
+        assert truncated_block_inverse(comps, nvars, start, cap)[1]
         monkeypatch.setattr(polyred.series, "truncated_fixed_point", changed)
-        _, P_, exact, _ = truncated_block_inverse(comps, nvars, start, cap)
+        P_, exact, _ = truncated_block_inverse(comps, nvars, start, cap)
         assert not exact
         assert not _forward_check(comps, nvars, start, P_)
 

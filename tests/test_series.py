@@ -525,6 +525,64 @@ def test_tree_oracle_memo_lives_per_call(complex_couplings):
         assert compose_many(tree_amplitude(tree, w1), s) == reference_amplitude(tree, w1, s)
 
 
+def mirror(tree):
+    """``tree`` with the children of every vertex in reverse order."""
+    return PlaneTree(tuple(mirror(c) for c in reversed(tree.children)))
+
+
+def unordered(tree):
+    """The shape of ``tree`` up to child order: the sorted tuple of its children's."""
+    return tuple(sorted(unordered(c) for c in tree.children))
+
+
+def test_mirror_trees_share_one_amplitude(complex_couplings):
+    # A vertex sums every ordering of each index multiset, so reversing the
+    # children at every vertex leaves each amplitude as it is; one amplitude
+    # function contracts the pair once.  The reference has no memo, so it
+    # confirms the symmetry on its own.
+    u = [P.variable(0, 2), P.variable(1, 2)]
+    for seed in (61, 62):
+        w = complex_couplings(seed, 2, 4)
+        amp = polyred.series._amplitudes(w)
+        trees = list(enumerate_trees(4, 4))
+        assert sum(1 for t in trees if mirror(t) != t) == 52
+        for tree in trees:
+            assert amp(mirror(tree)) is amp(tree)
+            assert amp(tree) == reference_amplitude(tree, w, u) \
+                == reference_amplitude(mirror(tree), w, u)
+
+
+@pytest.mark.parametrize("d, plane, shapes", [(2, 22, 7), (3, 52, 16), (4, 59, 19)])
+def test_tree_oracle_contracts_each_unordered_shape_once(d, plane, shapes, monkeypatch,
+                                                         complex_couplings):
+    # Every plane tree to weight 4 is enumerated, but each unordered shape is
+    # contracted once: one amplitude vector per shape is handed out, and no
+    # product starts from the constant 1.
+    trees = list(enumerate_trees(d, 4))
+    assert len(trees) == plane and len({unordered(t) for t in trees}) == shapes
+    w = complex_couplings(70 + d, 2, d)
+    G = formal_inverse_fixed_point(w, 4)
+    handed = []
+    real = polyred.series._amplitudes
+
+    def recording(w):
+        amp = real(w)
+
+        def wrapped(tree):
+            handed.append(amp(tree))
+            return handed[-1]
+        return wrapped
+
+    def refuse(nvars):
+        raise AssertionError("a product started from the constant 1")
+
+    monkeypatch.setattr(polyred.series, "_amplitudes", recording)
+    monkeypatch.setattr(Polynomial, "one", staticmethod(refuse))
+    assert tree_oracle_inverse(w, 4) == G
+    assert len(handed) == plane
+    assert len({id(a) for a in handed}) == shapes
+
+
 def test_tree_oracle_shares_no_routine_with_the_fixed_point(monkeypatch, complex_couplings):
     def refuse(*args, **kwargs):
         raise AssertionError("the oracle reached the fixed-point engine")
